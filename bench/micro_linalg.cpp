@@ -36,7 +36,18 @@ void BM_HermitianEig(benchmark::State& state) {
   const Matrix a = random_hermitian(rng, n);
   for (auto _ : state) benchmark::DoNotOptimize(linalg::hermitian_eig(a));
 }
-BENCHMARK(BM_HermitianEig)->Arg(8)->Arg(16)->Arg(64);
+// n = 5 and 6 are the span ranks the ML prox actually decomposes (J = 6
+// probes per slot, 5 before the eigen-directed one).
+BENCHMARK(BM_HermitianEig)->Arg(5)->Arg(6)->Arg(8)->Arg(16)->Arg(64);
+
+void BM_EigenvalueSoftThreshold(benchmark::State& state) {
+  const index_t n = static_cast<index_t>(state.range(0));
+  randgen::Rng rng(2);
+  const Matrix a = random_hermitian(rng, n);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(linalg::eigenvalue_soft_threshold(a, 0.25));
+}
+BENCHMARK(BM_EigenvalueSoftThreshold)->Arg(5)->Arg(6);
 
 void BM_HermitianEigQl(benchmark::State& state) {
   const index_t n = static_cast<index_t>(state.range(0));

@@ -98,13 +98,26 @@ Vector Link::draw_effective_channel(const Vector& u, randgen::Rng& rng) const {
 
 void Link::draw_effective_channel_into(const Vector& u, randgen::Rng& rng,
                                        Vector& h) const {
+  std::vector<cx> gains(paths_.size());
+  tx_gains_into(u, gains);
+  draw_effective_channel_into(gains, rng, h);
+}
+
+void Link::tx_gains_into(const Vector& u, std::span<cx> gains) const {
   MMW_REQUIRE(u.size() == m_);
+  MMW_REQUIRE(gains.size() == paths_.size());
+  for (index_t l = 0; l < paths_.size(); ++l)
+    gains[l] = linalg::dot(tx_steering_[l], u);
+}
+
+void Link::draw_effective_channel_into(std::span<const cx> tx_gains,
+                                       randgen::Rng& rng, Vector& h) const {
+  MMW_REQUIRE(tx_gains.size() == paths_.size());
   MMW_REQUIRE(h.size() == n_);
   std::fill(h.begin(), h.end(), cx{0.0, 0.0});
   for (index_t l = 0; l < paths_.size(); ++l) {
     const cx g = rng.complex_normal(paths_[l].power) *
-                 cx{amplitude_scale_, 0.0} *
-                 linalg::dot(tx_steering_[l], u);
+                 cx{amplitude_scale_, 0.0} * tx_gains[l];
     for (index_t i = 0; i < n_; ++i) h[i] += g * rx_steering_[l][i];
   }
 }

@@ -72,13 +72,26 @@ class Link {
   linalg::Vector draw_effective_channel(const linalg::Vector& u,
                                         randgen::Rng& rng) const;
 
-  /// Allocation-free variant: overwrites `h` with a fresh draw of H·u.
-  /// Identical RNG consumption and arithmetic to draw_effective_channel —
-  /// per-slot fade loops (mac::Session::probe_energy) reuse one vector
-  /// across all fades of a run. `h` must not alias `u`.
+  /// Overwrites `h` with a fresh draw of H·u: the tx_gains_into(u) +
+  /// gains-form draw below, with identical RNG consumption and arithmetic
+  /// to draw_effective_channel. `h` must not alias `u`.
   /// Precondition: h.size() == rx_size().
   void draw_effective_channel_into(const linalg::Vector& u, randgen::Rng& rng,
                                    linalg::Vector& h) const;
+
+  /// Per-path TX array gains a_tx,lᴴu of TX beam u, one per path. They are
+  /// all a fade draw needs of u and stay fixed while the TX dwells on u,
+  /// so per-dwell fade loops (mac::probe_energy) compute them once.
+  /// Preconditions: u.size() == tx_size(), gains.size() == paths().size().
+  void tx_gains_into(const linalg::Vector& u, std::span<cx> gains) const;
+
+  /// Allocation-free draw of H·u from the beam's precomputed tx_gains_into
+  /// gains: h = √(NM) Σ_l g_l (a_tx,lᴴu) a_rx,l, overwriting `h`. The
+  /// per-fade work of a dwell — one complex gain per path and an RX-sized
+  /// accumulation; the caller reuses one `h` across all fades.
+  /// Preconditions: tx_gains.size() == paths().size(), h.size() == rx_size().
+  void draw_effective_channel_into(std::span<const cx> tx_gains,
+                                   randgen::Rng& rng, linalg::Vector& h) const;
 
   /// RX steering vector of path l (unit norm).
   const linalg::Vector& rx_steering(index_t l) const { return rx_steering_[l]; }

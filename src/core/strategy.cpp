@@ -99,16 +99,19 @@ ProposedAlignment::ProposedAlignment(ProposedOptions options)
 }
 
 void ProposedAlignment::run(Session& session) const {
-  linalg::Matrix state;  // no prior
-  run_with_state(session, state);
+  align(session, nullptr);
 }
 
 void ProposedAlignment::run_with_state(Session& session,
                                        linalg::Matrix& covariance) const {
+  align(session, &covariance);
+}
+
+void ProposedAlignment::align(Session& session, Matrix* covariance) const {
   const Codebook& rx_cb = session.rx_codebook();
   const index_t n = rx_cb.codeword(0).size();
-  MMW_REQUIRE_MSG(covariance.empty() ||
-                      (covariance.rows() == n && covariance.cols() == n),
+  MMW_REQUIRE_MSG(covariance == nullptr || covariance->empty() ||
+                      (covariance->rows() == n && covariance->cols() == n),
                   "prior covariance has the wrong shape");
 
   estimation::CovarianceMlOptions est = options_.estimator;
@@ -116,8 +119,8 @@ void ProposedAlignment::run_with_state(Session& session,
 
   // Estimates stay in factored form end-to-end: the solvers return B Q_r Bᴴ
   // and every downstream consumer (codebook scoring, probe ranking) goes
-  // through the factor, so the N×N lift happens only for the exported
-  // tracking state. All solves route through the degradation ladder
+  // through the factor, so the N×N lift happens only for run_with_state's
+  // exported tracking state. All solves route through the degradation ladder
   // (estimation/robust.h): with no fault context armed this is
   // bit-identical to calling the configured estimator directly.
   const auto estimate =
@@ -144,8 +147,8 @@ void ProposedAlignment::run_with_state(Session& session,
   const real beam_floor = options_.exploration_floor / session.gamma();
 
   std::optional<FactoredHermitian> q_prev;
-  if (!covariance.empty())
-    q_prev = FactoredHermitian::from_dense(covariance);
+  if (covariance != nullptr && !covariance->empty())
+    q_prev = FactoredHermitian::from_dense(*covariance);
   // An externally supplied prior is stale by construction (it survived a
   // channel drift and was conditioned on a different TX beam), so it only
   // drives half of the first slot's probes; in-frame estimates, which are
@@ -251,12 +254,14 @@ void ProposedAlignment::run_with_state(Session& session,
       m.estimated_rank.record(static_cast<real>(q_hat.rank()));
     }
 
-    if (state_accum.empty())
-      state_accum = q_hat.dense();
-    else
-      state_accum += q_hat.dense();
-    ++state_slots;
-    covariance = state_accum / cx{static_cast<real>(state_slots), 0.0};
+    if (covariance != nullptr) {
+      if (state_accum.empty())
+        state_accum = q_hat.dense();
+      else
+        state_accum += q_hat.dense();
+      ++state_slots;
+      *covariance = state_accum / cx{static_cast<real>(state_slots), 0.0};
+    }
     q_prev = std::move(q_hat);
     prior_is_external = false;
   }

@@ -130,6 +130,11 @@ class ProposedAlignment final : public AlignmentStrategy {
                       linalg::Matrix& covariance) const;
 
  private:
+  /// Algorithm 1 proper. `covariance` is run_with_state's in/out state, or
+  /// null for a stateless run(), which then skips the per-slot N×N lift
+  /// of the exported average entirely.
+  void align(mac::Session& session, linalg::Matrix* covariance) const;
+
   ProposedOptions options_;
 };
 

@@ -8,16 +8,19 @@ namespace mmw::linalg {
 namespace {
 
 /// Rebuilds V f(diag) Vᴴ from an eigendecomposition with mapped eigenvalues.
+/// Eigenvector columns are read in place from the row-major storage.
 Matrix rebuild(const EigResult& eig, const std::vector<real>& mapped) {
   const index_t n = eig.eigenvectors.rows();
+  const cx* vecs = eig.eigenvectors.data().data();
   Matrix out(n, n);
+  cx* o = out.data().data();
   for (index_t k = 0; k < n; ++k) {
     if (mapped[k] == 0.0) continue;
-    const Vector vk = eig.eigenvectors.col(k);
     for (index_t i = 0; i < n; ++i) {
-      const cx scaled = mapped[k] * vk[i];
+      const cx scaled = mapped[k] * vecs[i * n + k];
+      cx* out_row = o + i * n;
       for (index_t j = 0; j < n; ++j)
-        out(i, j) += scaled * std::conj(vk[j]);
+        out_row[j] += scaled * std::conj(vecs[j * n + k]);
     }
   }
   return out;

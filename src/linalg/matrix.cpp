@@ -219,7 +219,30 @@ cx quadratic_form(const Vector& a, const Matrix& m, const Vector& b) {
 
 real hermitian_form(const Vector& v, const Matrix& m) {
   MMW_REQUIRE(m.is_square());
-  return quadratic_form(v, m, v).real();
+  MMW_REQUIRE(v.size() == m.rows());
+  // vᴴ(Mv) without the Mv temporary: each (Mv)_i is reduced exactly as
+  // operator*(Matrix, Vector) does and folded into the outer sum in the
+  // order dot() uses. Only the real part of the outer sum is kept, and the
+  // complex products are spelled out in std::complex operand order, so the
+  // result equals dot(v, m * v).real() bit for bit on finite input.
+  const index_t n = m.rows();
+  const real* mp = reinterpret_cast<const real*>(m.data().data());
+  const real* vp = reinterpret_cast<const real*>(v.data().data());
+  real acc = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    const real* row = mp + 2 * i * n;
+    real mv_re = 0.0;
+    real mv_im = 0.0;
+    for (index_t j = 0; j < n; ++j) {
+      const real ar = row[2 * j], ai = row[2 * j + 1];
+      const real br = vp[2 * j], bi = vp[2 * j + 1];
+      mv_re += ar * br - ai * bi;
+      mv_im += ar * bi + ai * br;
+    }
+    const real cr = vp[2 * i], ci = -vp[2 * i + 1];  // conj(v_i)
+    acc += cr * mv_re - ci * mv_im;
+  }
+  return acc;
 }
 
 }  // namespace mmw::linalg

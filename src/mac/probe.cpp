@@ -1,6 +1,7 @@
 #include "mac/probe.h"
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
@@ -26,12 +27,16 @@ real probe_energy(const ProbeView& view, index_t tx_beam, index_t rx_beam,
   const real noise_var =
       1.0 / view.gamma +
       (view.interference.empty() ? 0.0 : view.interference[rx_beam]);
+  // The per-path TX gains a_tx,lᴴu are fixed for the dwell, so they are
+  // computed once here instead of once per fade.
+  std::vector<cx> gains(view.link->paths().size());
+  if (!blocked) view.link->tx_gains_into(u, gains);
   // Average matched-filter energy over the slot's independent fades.
   real energy = 0.0;
   for (index_t k = 0; k < fades; ++k) {
     cx z = rng.complex_normal(noise_var);
     if (!blocked) {
-      view.link->draw_effective_channel_into(u, rng, scratch);
+      view.link->draw_effective_channel_into(gains, rng, scratch);
       z += linalg::dot(v, scratch);
     }
     energy += std::norm(z);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "channel/models.h"
@@ -204,6 +206,42 @@ TEST(ProposedTest, RunWithStateProducesCovariance) {
   ProposedAlignment().run_with_state(s, state);
   EXPECT_EQ(state.rows(), 16u);
   EXPECT_TRUE(state.is_hermitian(1e-8 * (1.0 + state.max_abs())));
+}
+
+TEST(ProposedTest, RunMatchesRunWithStateBitwise) {
+  // run() skips the exported N×N state lift; with no prior, that must not
+  // change a single probe choice or measured energy.
+  for (const bool multipath : {false, true}) {
+    for (const std::uint64_t seed : {3u, 29u, 2016u}) {
+      auto records = [&](bool stateful) {
+        Rng rng(seed);
+        const auto tx = ArrayGeometry::upa(4, 4);
+        const auto rx = ArrayGeometry::upa(8, 8);
+        const Link link = multipath
+                              ? channel::make_nyc_multipath_link(tx, rx, rng)
+                              : channel::make_single_path_link(tx, rx, rng);
+        const auto tx_cb = Codebook::dft(tx);
+        const auto rx_cb = Codebook::dft(rx);
+        Session s(link, tx_cb, rx_cb, 1.0, 123, rng, 8);
+        linalg::Matrix state;
+        if (stateful)
+          ProposedAlignment().run_with_state(s, state);
+        else
+          ProposedAlignment().run(s);
+        return s.records();
+      };
+      const auto plain = records(false);
+      const auto stateful = records(true);
+      ASSERT_EQ(plain.size(), stateful.size());
+      for (index_t k = 0; k < plain.size(); ++k) {
+        EXPECT_EQ(plain[k].tx_beam, stateful[k].tx_beam);
+        EXPECT_EQ(plain[k].rx_beam, stateful[k].rx_beam);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(plain[k].energy),
+                  std::bit_cast<std::uint64_t>(stateful[k].energy))
+            << "seed=" << seed << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(ProposedTest, WarmStartSkipsColdExploration) {

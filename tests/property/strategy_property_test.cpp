@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "channel/models.h"
 #include "core/strategy.h"
@@ -59,18 +61,18 @@ class StrategyProperty : public ::testing::TestWithParam<StrategyCase> {
  protected:
   static constexpr index_t kTotalPairs = 4 * 16;
 
-  Link make_link(Rng& rng) const {
+  static Link make_link(const StrategyCase& c, Rng& rng) {
     const auto tx = ArrayGeometry::upa(2, 2);
     const auto rx = ArrayGeometry::upa(4, 4);
-    return GetParam().multipath ? channel::make_nyc_multipath_link(tx, rx, rng)
-                                : channel::make_single_path_link(tx, rx, rng);
+    return c.multipath ? channel::make_nyc_multipath_link(tx, rx, rng)
+                       : channel::make_single_path_link(tx, rx, rng);
   }
 
-  Codebook tx_cb() const {
+  static Codebook tx_cb() {
     return Codebook::angular_grid(ArrayGeometry::upa(2, 2), 2, 2, -1.0, 1.0,
                                   -0.5, 0.5);
   }
-  Codebook rx_cb() const {
+  static Codebook rx_cb() {
     return Codebook::angular_grid(ArrayGeometry::upa(4, 4), 4, 4, -1.0, 1.0,
                                   -0.5, 0.5);
   }
@@ -79,7 +81,7 @@ class StrategyProperty : public ::testing::TestWithParam<StrategyCase> {
 TEST_P(StrategyProperty, SpendsFullBudgetWithoutRepeats) {
   const auto& p = GetParam();
   Rng rng(p.seed);
-  const Link link = make_link(rng);
+  const Link link = make_link(p, rng);
   const auto tcb = tx_cb();
   const auto rcb = rx_cb();
   Session session(link, tcb, rcb, 1.0, p.budget, rng, 4);
@@ -98,7 +100,7 @@ TEST_P(StrategyProperty, DeterministicGivenSeed) {
   const auto& p = GetParam();
   auto run_once = [&]() {
     Rng rng(p.seed);
-    const Link link = make_link(rng);
+    const Link link = make_link(p, rng);
     const auto tcb = tx_cb();
     const auto rcb = rx_cb();
     Session session(link, tcb, rcb, 1.0, p.budget, rng, 4);
@@ -115,18 +117,6 @@ TEST_P(StrategyProperty, DeterministicGivenSeed) {
   }
 }
 
-TEST_P(StrategyProperty, FullBudgetCoversEveryPair) {
-  const auto& p = GetParam();
-  if (p.budget < kTotalPairs) GTEST_SKIP() << "only for 100% budgets";
-  Rng rng(p.seed + 1);
-  const Link link = make_link(rng);
-  const auto tcb = tx_cb();
-  const auto rcb = rx_cb();
-  Session session(link, tcb, rcb, 1.0, p.budget, rng, 4);
-  make_strategy(p.kind)->run(session);
-  EXPECT_EQ(session.measurements_taken(), kTotalPairs);
-}
-
 std::vector<StrategyCase> all_cases() {
   std::vector<StrategyCase> out;
   std::uint64_t seed = 1;
@@ -141,6 +131,49 @@ std::vector<StrategyCase> all_cases() {
   }
   return out;
 }
+
+/// Full coverage is only a property of 100% budgets, so this test exists
+/// for exactly those cases instead of skipping the others. It is registered
+/// by hand on the StrategyProperty fixture under the names the
+/// value-parameterized form gives it — AllStrategies/StrategyProperty.
+/// FullBudgetCoversEveryPair/<index into all_cases()>, with the case as its
+/// GetParam() value — so every full-budget test keeps its ID.
+class FullBudgetCoversEveryPair : public StrategyProperty {
+ public:
+  explicit FullBudgetCoversEveryPair(StrategyCase c) : case_(c) {}
+
+  void TestBody() override {
+    Rng rng(case_.seed + 1);
+    const Link link = make_link(case_, rng);
+    const auto tcb = tx_cb();
+    const auto rcb = rx_cb();
+    Session session(link, tcb, rcb, 1.0, case_.budget, rng, 4);
+    make_strategy(case_.kind)->run(session);
+    EXPECT_EQ(session.measurements_taken(), kTotalPairs);
+  }
+
+  static bool register_full_budget_cases() {
+    const std::vector<StrategyCase> cases = all_cases();
+    for (index_t i = 0; i < cases.size(); ++i) {
+      const StrategyCase c = cases[i];
+      if (c.budget < kTotalPairs) continue;
+      ::testing::RegisterTest(
+          "AllStrategies/StrategyProperty",
+          ("FullBudgetCoversEveryPair/" + std::to_string(i)).c_str(), nullptr,
+          ::testing::PrintToString(c).c_str(), __FILE__, __LINE__,
+          [c]() -> StrategyProperty* {
+            return new FullBudgetCoversEveryPair(c);
+          });
+    }
+    return true;
+  }
+
+ private:
+  StrategyCase case_;
+};
+
+[[maybe_unused]] const bool kFullBudgetRegistered =
+    FullBudgetCoversEveryPair::register_full_budget_cases();
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyProperty,
                          ::testing::ValuesIn(all_cases()));
