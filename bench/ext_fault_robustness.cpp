@@ -20,27 +20,17 @@
 #include "fig_common.h"
 #include "sim/robustness.h"
 
-namespace {
-
-mmw::index_t trials_from_cli(int argc, char** argv, mmw::index_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trials=", 9) == 0)
-      return std::strtoull(argv[i] + 9, nullptr, 10);
-    if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
+  const bench::Cli cli(
+      argc, argv, "E8: alignment robustness under injected faults.",
+      {{"--trials", bench::Cli::Kind::kUnsigned,
+        "trials per cell (default 15)"}});
   bench::BenchRun run("ext_fault_robustness", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
-  sc.trials = trials_from_cli(argc, argv, sc.trials);
+  sc.trials = cli.u64("--trials", sc.trials);
   sc.threads = bench::threads_from_cli(argc, argv);
   run.add_scenario(sc);
   bench::print_header("Extension E8",

@@ -2,12 +2,16 @@
 // configuration (Sec. V-A) and a uniform report format.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "core/thread_pool.h"
 #include "linalg/kernels.h"
@@ -33,6 +37,156 @@ inline index_t threads_from_cli(int argc, char** argv) {
     return std::strtoull(env, nullptr, 10);
   return 0;
 }
+
+/// Strict command line for a bench binary. Every flag is declared up front
+/// with its value kind; the shared --threads, --obs and --trace flags (read
+/// by threads_from_cli and BenchRun) are always declared. The constructor
+/// checks the whole argv before the bench does any work:
+///
+///  - `--help` / `-h` prints the usage and exits 0;
+///  - an unknown flag, a stray positional argument, a missing value or a
+///    malformed one prints a diagnostic and exits 2.
+///
+/// Valued flags take `--name value` or `--name=value`; kFlag is bare
+/// (`--name`); kOptionalText is bare or `--name=value`. When a flag is
+/// repeated the first occurrence wins.
+class Cli {
+ public:
+  enum class Kind {
+    kFlag,          ///< bare switch
+    kUnsigned,      ///< decimal digits only
+    kReal,          ///< one finite real
+    kRealList,      ///< comma-separated finite reals
+    kText,          ///< any string
+    kOptionalText,  ///< bare, or --name=string
+  };
+  struct Option {
+    const char* name;
+    Kind kind;
+    const char* help;
+  };
+
+  Cli(int argc, char** argv, const char* summary, std::vector<Option> options)
+      : options_(std::move(options)) {
+    options_.push_back({"--threads", Kind::kUnsigned,
+                        "worker threads (default: MMW_THREADS, else all)"});
+    options_.push_back({"--obs", Kind::kText, "on|off instrumentation"});
+    options_.push_back({"--trace", Kind::kOptionalText,
+                        "capture spans to a Chrome trace [=path]"});
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        std::printf("usage: %s [options]\n%s\n\noptions:\n", argv[0],
+                    summary);
+        for (const Option& o : options_)
+          std::printf("  %-16s %s\n", o.name, o.help);
+        std::exit(0);
+      }
+      const std::size_t eq = arg.find('=');
+      const std::string name = arg.substr(0, eq);
+      const Option* opt = find(name);
+      if (arg.rfind("--", 0) != 0 || opt == nullptr)
+        usage_error(argv[0], "unknown argument '" + arg + "'");
+      std::string value;
+      if (eq != std::string::npos) {
+        if (opt->kind == Kind::kFlag)
+          usage_error(argv[0], name + " takes no value");
+        value = arg.substr(eq + 1);
+      } else if (opt->kind != Kind::kFlag &&
+                 opt->kind != Kind::kOptionalText) {
+        if (i + 1 >= argc) usage_error(argv[0], name + " needs a value");
+        value = argv[++i];
+      }
+      if (!valid(opt->kind, value))
+        usage_error(argv[0], "bad value '" + value + "' for " + name);
+      values_.emplace(name, value);
+    }
+  }
+
+  bool has(const char* name) const { return values_.count(name) > 0; }
+
+  std::uint64_t u64(const char* name, std::uint64_t fallback) const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? fallback
+                               : std::strtoull(it->second.c_str(), nullptr, 10);
+  }
+
+  double real(const char* name, double fallback) const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? fallback
+                               : std::strtod(it->second.c_str(), nullptr);
+  }
+
+  std::vector<mmw::real> reals(const char* name,
+                               std::vector<mmw::real> fallback) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    std::vector<mmw::real> out;
+    for (const char* p = it->second.c_str();;) {
+      char* end = nullptr;
+      out.push_back(std::strtod(p, &end));
+      if (*end != ',') break;
+      p = end + 1;
+    }
+    return out;
+  }
+
+  /// The flag's value: nullptr when absent, "" when given bare.
+  const char* text(const char* name) const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? nullptr : it->second.c_str();
+  }
+
+ private:
+  const Option* find(const std::string& name) const {
+    for (const Option& o : options_)
+      if (name == o.name) return &o;
+    return nullptr;
+  }
+
+  [[noreturn]] static void usage_error(const char* prog,
+                                       const std::string& what) {
+    std::fprintf(stderr, "%s: %s (see --help)\n", prog, what.c_str());
+    std::exit(2);
+  }
+
+  static bool valid_real(const char* p, const char** rest) {
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(p, &end);
+    *rest = end;
+    return end != p && errno == 0 && std::isfinite(v);
+  }
+
+  static bool valid(Kind kind, const std::string& value) {
+    const char* rest = nullptr;
+    switch (kind) {
+      case Kind::kFlag:
+      case Kind::kText:
+      case Kind::kOptionalText:
+        return true;
+      case Kind::kUnsigned:
+        if (value.empty() ||
+            value.find_first_not_of("0123456789") != std::string::npos)
+          return false;
+        errno = 0;
+        std::strtoull(value.c_str(), nullptr, 10);
+        return errno == 0;  // ERANGE past 2^64 − 1
+      case Kind::kReal:
+        return valid_real(value.c_str(), &rest) && *rest == '\0';
+      case Kind::kRealList:
+        for (const char* p = value.c_str();; p = rest + 1) {
+          if (!valid_real(p, &rest)) return false;
+          if (*rest == '\0') return true;
+          if (*rest != ',') return false;
+        }
+    }
+    return false;
+  }
+
+  std::vector<Option> options_;
+  std::map<std::string, std::string> values_;
+};
 
 /// The paper's setup: TX 4×4 λ/2 UPA (M = 16), RX 8×8 λ/2 UPA (N = 64),
 /// angular-grid codebooks over a ±60°×±30° sector, T = 1024 beam pairs.

@@ -74,6 +74,42 @@ real Link::mean_pair_gain(const Vector& u, const Vector& v) const {
   return nm * acc;
 }
 
+real Link::best_mean_pair_gain(const antenna::Codebook& tx_codebook,
+                               const antenna::Codebook& rx_codebook) const {
+  const index_t paths = paths_.size();
+  const index_t tx_beams = tx_codebook.size();
+  const index_t rx_beams = rx_codebook.size();
+  // Row t / r holds one beam's per-path factor; the RX row already carries
+  // p_l, as mean_pair_gain's left-to-right (p_l·rx)·tx product does.
+  std::vector<real> tx_coupling(tx_beams * paths);
+  std::vector<real> rx_coupling(rx_beams * paths);
+  for (index_t t = 0; t < tx_beams; ++t) {
+    const Vector& u = tx_codebook.codeword(t);
+    MMW_REQUIRE(u.size() == m_);
+    for (index_t l = 0; l < paths; ++l)
+      tx_coupling[t * paths + l] = std::norm(linalg::dot(tx_steering_[l], u));
+  }
+  for (index_t r = 0; r < rx_beams; ++r) {
+    const Vector& v = rx_codebook.codeword(r);
+    MMW_REQUIRE(v.size() == n_);
+    for (index_t l = 0; l < paths; ++l)
+      rx_coupling[r * paths + l] =
+          paths_[l].power * std::norm(linalg::dot(rx_steering_[l], v));
+  }
+  const real nm = static_cast<real>(n_ * m_);
+  real best = 0.0;
+  for (index_t t = 0; t < tx_beams; ++t) {
+    const real* tx = &tx_coupling[t * paths];
+    for (index_t r = 0; r < rx_beams; ++r) {
+      const real* rx = &rx_coupling[r * paths];
+      real acc = 0.0;
+      for (index_t l = 0; l < paths; ++l) acc += rx[l] * tx[l];
+      best = std::max(best, nm * acc);
+    }
+  }
+  return best;
+}
+
 Matrix Link::draw_channel(randgen::Rng& rng) const {
   Matrix h(n_, m_);
   for (index_t l = 0; l < paths_.size(); ++l) {

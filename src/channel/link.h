@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "antenna/codebook.h"
 #include "antenna/geometry.h"
 #include "linalg/matrix.h"
 #include "randgen/rng.h"
@@ -64,6 +65,15 @@ class Link {
   ///   E|vᴴ H u|² = NM Σ_l p_l |vᴴ a_rx,l|² |a_tx,lᴴ u|².
   /// The paper's metric R(u,v) is γ times this.
   real mean_pair_gain(const linalg::Vector& u, const linalg::Vector& v) const;
+
+  /// The grading oracle: max over (t, r) of
+  /// mean_pair_gain(tx_codebook.codeword(t), rx_codebook.codeword(r)),
+  /// bit-identical to that exhaustive loop (row order, std::max from 0)
+  /// but factored: the per-path couplings p_l·|a_rx,lᴴv_r|² and
+  /// |a_tx,lᴴu_t|² are tabulated once, L·(M+N) dots instead of 2·L·M·N,
+  /// and each pair keeps mean_pair_gain's accumulation order.
+  real best_mean_pair_gain(const antenna::Codebook& tx_codebook,
+                           const antenna::Codebook& rx_codebook) const;
 
   /// Draws an instantaneous channel matrix H (N×M), independent across calls.
   linalg::Matrix draw_channel(randgen::Rng& rng) const;

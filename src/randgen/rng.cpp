@@ -7,7 +7,7 @@
 namespace mmw::randgen {
 
 Rng Rng::fork() {
-  // A fresh 64-bit draw seeds an independent child engine; mt19937_64
+  // A fresh 64-bit draw seeds an independent child engine; MT19937-64
   // streams seeded from distinct values are statistically independent for
   // simulation purposes.
   return Rng(engine_());
@@ -54,9 +54,15 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
 }
 
+// normal() and lognormal() scale a standard variate themselves: the std
+// distributions require σ > 0 (checked under _GLIBCXX_ASSERTIONS), while the
+// library passes σ = 0 (e.g. the NYC model's zero elevation spread). The
+// standard variate consumes the engine exactly as the σ-parameterized one,
+// and z·σ + μ / exp(σ·z + μ) is libstdc++'s own arithmetic, so every draw
+// and stream position is unchanged.
 real Rng::normal(real mean, real stddev) {
   MMW_REQUIRE(stddev >= 0.0);
-  return std::normal_distribution<real>(mean, stddev)(engine_);
+  return std::normal_distribution<real>()(engine_) * stddev + mean;
 }
 
 cx Rng::complex_normal(real variance) {
@@ -82,7 +88,7 @@ std::uint64_t Rng::poisson(real mean) {
 
 real Rng::lognormal(real mu, real sigma) {
   MMW_REQUIRE(sigma >= 0.0);
-  return std::lognormal_distribution<real>(mu, sigma)(engine_);
+  return std::exp(sigma * std::normal_distribution<real>()(engine_) + mu);
 }
 
 real Rng::angle() { return uniform(0.0, 2.0 * M_PI); }

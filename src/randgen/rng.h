@@ -7,6 +7,7 @@
 
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "randgen/mersenne.h"
 
 namespace mmw::randgen {
 
@@ -85,10 +86,10 @@ class Rng {
   /// Random permutation of {0, …, n−1}.
   std::vector<index_t> permutation(index_t n);
 
-  std::mt19937_64& engine() { return engine_; }
+  MersenneTwister64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  MersenneTwister64 engine_;
 };
 
 }  // namespace mmw::randgen

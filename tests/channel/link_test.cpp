@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "antenna/codebook.h"
 #include "antenna/steering.h"
+#include "channel/models.h"
 #include "linalg/eig.h"
 #include "linalg/functions.h"
 
@@ -196,6 +200,69 @@ TEST(LinkTest, DrawEffectiveChannelIntoChecksBufferSize) {
   EXPECT_THROW(
       link.draw_effective_channel_into(link.tx_steering(0), rng, wrong),
       precondition_error);
+}
+
+/// The exhaustive grading loop best_mean_pair_gain replaces.
+real exhaustive_best_gain(const Link& link, const antenna::Codebook& tx,
+                          const antenna::Codebook& rx) {
+  real best = 0.0;
+  for (index_t t = 0; t < tx.size(); ++t)
+    for (index_t r = 0; r < rx.size(); ++r)
+      best = std::max(best,
+                      link.mean_pair_gain(tx.codeword(t), rx.codeword(r)));
+  return best;
+}
+
+TEST(LinkTest, BestMeanPairGainEqualsExhaustiveMaxBitwise) {
+  struct Arrays {
+    index_t tx_x, tx_y, rx_x, rx_y;
+  };
+  // 4×16 and 16×64 DFT codebook products, plus a square 16×16 one.
+  for (const Arrays a : {Arrays{2, 2, 4, 4}, Arrays{4, 4, 8, 8},
+                         Arrays{4, 4, 4, 4}}) {
+    const ArrayGeometry tx = ArrayGeometry::upa(a.tx_x, a.tx_y);
+    const ArrayGeometry rx = ArrayGeometry::upa(a.rx_x, a.rx_y);
+    const antenna::Codebook tx_cb = antenna::Codebook::dft(tx);
+    const antenna::Codebook rx_cb = antenna::Codebook::dft(rx);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed);
+      const Link single = make_single_path_link(tx, rx, rng);
+      EXPECT_EQ(single.best_mean_pair_gain(tx_cb, rx_cb),
+                exhaustive_best_gain(single, tx_cb, rx_cb))
+          << "single path, seed " << seed;
+      const Link nyc = make_nyc_multipath_link(tx, rx, rng);
+      EXPECT_EQ(nyc.best_mean_pair_gain(tx_cb, rx_cb),
+                exhaustive_best_gain(nyc, tx_cb, rx_cb))
+          << "NYC multipath (" << nyc.paths().size() << " paths), seed "
+          << seed;
+    }
+  }
+}
+
+TEST(LinkTest, BestMeanPairGainOnAngularGridsAndZeroPowerPaths) {
+  const ArrayGeometry tx = ArrayGeometry::upa(4, 4);
+  const ArrayGeometry rx = ArrayGeometry::upa(8, 8);
+  const antenna::Codebook tx_cb = antenna::Codebook::angular_grid(tx, 3, 2);
+  const antenna::Codebook rx_cb = antenna::Codebook::angular_grid(rx, 9, 5);
+  Rng rng(77);
+  const Link nyc = make_nyc_multipath_link(tx, rx, rng);
+  EXPECT_EQ(nyc.best_mean_pair_gain(tx_cb, rx_cb),
+            exhaustive_best_gain(nyc, tx_cb, rx_cb));
+  // A fully blocked link grades 0, as the exhaustive max from 0 does.
+  const std::vector<real> zero(nyc.paths().size(), 0.0);
+  const Link blocked = nyc.with_scaled_path_powers(zero);
+  EXPECT_EQ(blocked.best_mean_pair_gain(tx_cb, rx_cb), 0.0);
+  EXPECT_EQ(blocked.best_mean_pair_gain(tx_cb, rx_cb),
+            exhaustive_best_gain(blocked, tx_cb, rx_cb));
+}
+
+TEST(LinkTest, BestMeanPairGainRejectsMismatchedCodebooks) {
+  const Link link = one_path_link();  // TX 16, RX 64
+  const antenna::Codebook small =
+      antenna::Codebook::dft(ArrayGeometry::upa(2, 2));
+  const antenna::Codebook rx_cb =
+      antenna::Codebook::dft(ArrayGeometry::upa(8, 8));
+  EXPECT_THROW(link.best_mean_pair_gain(small, rx_cb), precondition_error);
 }
 
 }  // namespace

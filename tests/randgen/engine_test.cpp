@@ -1,0 +1,257 @@
+// Bit-identity of the lazily seeded MersenneTwister64 and of every Rng
+// variate against std::mt19937_64 + the std distributions: the reference
+// the library's committed CSVs and goldens were produced with.
+#include "randgen/mersenne.h"
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <concepts>
+#include <numeric>
+#include <random>
+#include <vector>
+
+#include "randgen/rng.h"
+
+namespace mmw::randgen {
+namespace {
+
+static_assert(std::uniform_random_bit_generator<MersenneTwister64>);
+static_assert(MersenneTwister64::min() == std::mt19937_64::min());
+static_assert(MersenneTwister64::max() == std::mt19937_64::max());
+
+/// SplitMix64 sequence, independent of the library, for seed sampling.
+std::uint64_t splitmix(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// Draws `count` words from both engines, failing on the first mismatch.
+::testing::AssertionResult same_words(MersenneTwister64& lazy,
+                                      std::mt19937_64& ref, int count) {
+  for (int i = 0; i < count; ++i) {
+    const std::uint64_t a = lazy();
+    const std::uint64_t b = ref();
+    if (a != b)
+      return ::testing::AssertionFailure()
+             << "word " << i << ": " << a << " != " << b;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Counts on both sides of the first block's lazy-seeding boundary
+// (n − m = 156), the block end (312) and later block ends.
+const int kBoundaryCounts[] = {1,   155, 156, 157,  310,
+                               311, 312, 313, 624, 1000};
+
+TEST(EngineTest, MatchesStdOnFixedSeeds) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        ~std::uint64_t{0}}) {
+    for (const int count : kBoundaryCounts) {
+      MersenneTwister64 lazy(seed);
+      std::mt19937_64 ref(seed);
+      EXPECT_TRUE(same_words(lazy, ref, count))
+          << "seed " << seed << ", count " << count;
+    }
+  }
+}
+
+TEST(EngineTest, MatchesStdOnSplitMixSeedsAndPrefixLengths) {
+  std::uint64_t state = 2016;
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t seed = splitmix(state);
+    // Prefix lengths cycle through 1..700, so every first-block position
+    // (and the start of the second and third blocks) is a stream's end.
+    const int count = 1 + i % 700;
+    MersenneTwister64 lazy(seed);
+    std::mt19937_64 ref(seed);
+    ASSERT_TRUE(same_words(lazy, ref, count)) << "seed " << seed;
+  }
+}
+
+TEST(EngineTest, CopyMidBlockContinuesIdentically) {
+  for (const int count : kBoundaryCounts) {
+    MersenneTwister64 a(42);
+    std::mt19937_64 ref(42);
+    ASSERT_TRUE(same_words(a, ref, count));
+    MersenneTwister64 b = a;
+    MersenneTwister64 c(7);
+    c = a;
+    std::mt19937_64 ref_b = ref;
+    std::mt19937_64 ref_c = ref;
+    EXPECT_TRUE(same_words(a, ref, 700)) << "count " << count;
+    EXPECT_TRUE(same_words(b, ref_b, 700)) << "count " << count;
+    EXPECT_TRUE(same_words(c, ref_c, 700)) << "count " << count;
+  }
+}
+
+TEST(EngineTest, FreshEngineCopiesIdentically) {
+  MersenneTwister64 a(9);
+  MersenneTwister64 b = a;
+  std::mt19937_64 ref(9);
+  std::mt19937_64 ref_b(9);
+  EXPECT_TRUE(same_words(a, ref, 400));
+  EXPECT_TRUE(same_words(b, ref_b, 400));
+}
+
+// -- every Rng method against the same std distribution on std::mt19937_64 --
+
+constexpr int kDraws = 2000;
+
+TEST(RngIdentityTest, Uniform) {
+  Rng rng(11);
+  std::mt19937_64 ref(11);
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(rng.uniform(), std::uniform_real_distribution<real>()(ref));
+    ASSERT_EQ(rng.uniform(-3.0, 5.5),
+              std::uniform_real_distribution<real>(-3.0, 5.5)(ref));
+    ASSERT_EQ(rng.angle(),
+              std::uniform_real_distribution<real>(0.0, 2.0 * M_PI)(ref));
+  }
+}
+
+TEST(RngIdentityTest, UniformInt) {
+  Rng rng(12);
+  std::mt19937_64 ref(12);
+  for (int i = 0; i < kDraws; ++i) {
+    const std::uint64_t hi = static_cast<std::uint64_t>(i % 97);
+    ASSERT_EQ(rng.uniform_int(0, hi),
+              std::uniform_int_distribution<std::uint64_t>(0, hi)(ref));
+    ASSERT_EQ(rng.uniform_int(5, ~std::uint64_t{0}),
+              std::uniform_int_distribution<std::uint64_t>(
+                  5, ~std::uint64_t{0})(ref));
+  }
+}
+
+TEST(RngIdentityTest, Normal) {
+  Rng rng(13);
+  std::mt19937_64 ref(13);
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(rng.normal(), std::normal_distribution<real>()(ref));
+    ASSERT_EQ(rng.normal(1.5, 0.3),
+              std::normal_distribution<real>(1.5, 0.3)(ref));
+    ASSERT_EQ(rng.normal(-2.0, 17.0),
+              std::normal_distribution<real>(-2.0, 17.0)(ref));
+  }
+}
+
+TEST(RngIdentityTest, NormalWithZeroSigmaIsTheMeanAndConsumesADraw) {
+  Rng rng(14);
+  std::mt19937_64 ref(14);
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(rng.normal(0.25, 0.0), 0.25);
+    std::normal_distribution<real>()(ref);  // the draw σ = 0 still takes
+    ASSERT_EQ(rng.normal(), std::normal_distribution<real>()(ref));
+  }
+  EXPECT_EQ(rng.complex_normal(0.0), cx(0.0, 0.0));
+}
+
+TEST(RngIdentityTest, ComplexNormal) {
+  Rng rng(15);
+  std::mt19937_64 ref(15);
+  for (int i = 0; i < kDraws; ++i) {
+    const real variance = 0.5 + i % 7;
+    const cx z = rng.complex_normal(variance);
+    const real s = std::sqrt(variance / 2.0);
+    const real re = std::normal_distribution<real>(0.0, s)(ref);
+    const real im = std::normal_distribution<real>(0.0, s)(ref);
+    ASSERT_EQ(z.real(), re);
+    ASSERT_EQ(z.imag(), im);
+  }
+}
+
+TEST(RngIdentityTest, ChiSquared) {
+  Rng rng(16);
+  std::mt19937_64 ref(16);
+  for (int i = 0; i < kDraws; ++i) {
+    const real k = 0.5 + i % 9;
+    ASSERT_EQ(rng.chi_squared(k),
+              std::chi_squared_distribution<real>(k)(ref));
+  }
+}
+
+TEST(RngIdentityTest, Exponential) {
+  Rng rng(17);
+  std::mt19937_64 ref(17);
+  for (int i = 0; i < kDraws; ++i) {
+    const real mean = 0.1 + i % 50;
+    ASSERT_EQ(rng.exponential(mean),
+              std::exponential_distribution<real>(1.0 / mean)(ref));
+  }
+}
+
+TEST(RngIdentityTest, Poisson) {
+  Rng rng(18);
+  std::mt19937_64 ref(18);
+  // Means below and above libstdc++'s rejection-method threshold (12).
+  for (const real mean : {0.3, 4.0, 11.9, 12.0, 150.0, 4700.0}) {
+    for (int i = 0; i < kDraws / 4; ++i)
+      ASSERT_EQ(rng.poisson(mean),
+                std::poisson_distribution<std::uint64_t>(mean)(ref))
+          << "mean " << mean;
+  }
+}
+
+TEST(RngIdentityTest, Lognormal) {
+  Rng rng(19);
+  std::mt19937_64 ref(19);
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(rng.lognormal(0.0, 1.0),
+              std::lognormal_distribution<real>(0.0, 1.0)(ref));
+    ASSERT_EQ(rng.lognormal(-1.25, 0.4),
+              std::lognormal_distribution<real>(-1.25, 0.4)(ref));
+  }
+}
+
+TEST(RngIdentityTest, LognormalWithZeroSigmaIsExpOfMu) {
+  Rng rng(20);
+  std::mt19937_64 ref(20);
+  EXPECT_EQ(rng.lognormal(0.7, 0.0), std::exp(0.7));
+  std::normal_distribution<real>()(ref);
+  EXPECT_EQ(rng.normal(), std::normal_distribution<real>()(ref));
+}
+
+TEST(RngIdentityTest, SampleWithoutReplacement) {
+  Rng rng(21);
+  std::mt19937_64 ref(21);
+  for (index_t n = 1; n < 40; ++n) {
+    const index_t k = n / 2 + 1;
+    std::vector<index_t> pool(n);
+    std::iota(pool.begin(), pool.end(), index_t{0});
+    for (index_t i = 0; i < k; ++i) {
+      const index_t j = static_cast<index_t>(
+          std::uniform_int_distribution<std::uint64_t>(i, n - 1)(ref));
+      std::swap(pool[i], pool[j]);
+    }
+    pool.resize(k);
+    ASSERT_EQ(rng.sample_without_replacement(n, k), pool) << "n " << n;
+  }
+}
+
+TEST(RngIdentityTest, ForkSeedsTheChildFromOneWord) {
+  Rng rng(22);
+  std::mt19937_64 ref(22);
+  Rng child = rng.fork();
+  std::mt19937_64 ref_child(ref());
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(child.normal(), std::normal_distribution<real>()(ref_child));
+    ASSERT_EQ(rng.uniform(), std::uniform_real_distribution<real>()(ref));
+  }
+}
+
+TEST(RngIdentityTest, CopiedRngContinuesIdentically) {
+  Rng a = Rng::stream(2016, 3, 4, 5);
+  for (int i = 0; i < 101; ++i) a.normal();  // mid-block, odd word count
+  Rng b = a;
+  for (int i = 0; i < kDraws; ++i) {
+    const real x = a.normal();
+    ASSERT_EQ(x, b.normal());
+    ASSERT_EQ(a.uniform(), b.uniform());
+  }
+}
+
+}  // namespace
+}  // namespace mmw::randgen
