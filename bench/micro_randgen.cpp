@@ -1,8 +1,11 @@
 // Micro-benchmarks of the RNG layer (google-benchmark): keyed stream set-up,
-// which the serving and tracking engines pay once per session-epoch, and the
-// two variates the fade synthesis draws most.
+// which the serving and tracking engines pay once per session-epoch, the
+// variates the fade synthesis draws most, and one whole fade-synthesis probe.
 #include <benchmark/benchmark.h>
 
+#include "antenna/codebook.h"
+#include "channel/models.h"
+#include "mac/probe.h"
 #include "randgen/rng.h"
 
 namespace {
@@ -34,6 +37,36 @@ void BM_Uniform(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.uniform());
 }
 BENCHMARK(BM_Uniform);
+
+void BM_ComplexNormal(benchmark::State& state) {
+  randgen::Rng rng(2016);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.complex_normal(0.5));
+}
+BENCHMARK(BM_ComplexNormal);
+
+/// One mac::probe_energy call on a NYC multipath link at N = 16 with
+/// 4 fades, cycling through the codebook pairs: the measurement the
+/// tracking engine repeats for every probe of every user-epoch.
+void BM_ProbeEnergy(benchmark::State& state) {
+  const auto tx = antenna::ArrayGeometry::upa(4, 4);
+  const auto rx = antenna::ArrayGeometry::upa(4, 4);
+  randgen::Rng link_rng(2016);
+  const channel::Link link =
+      channel::make_nyc_multipath_link(tx, rx, link_rng);
+  const antenna::Codebook tx_cb = antenna::Codebook::dft(tx);
+  const antenna::Codebook rx_cb = antenna::Codebook::dft(rx);
+  const mac::ProbeView view{&link, &tx_cb, &rx_cb, 10.0};
+  linalg::Vector scratch(link.rx_size());
+  randgen::Rng rng(7);
+  index_t pair = 0;
+  for (auto _ : state) {
+    const index_t p = pair++ % (tx_cb.size() * rx_cb.size());
+    benchmark::DoNotOptimize(mac::probe_energy(
+        view, p / rx_cb.size(), p % rx_cb.size(), 4, rng, scratch));
+  }
+  state.counters["paths"] = static_cast<double>(link.paths().size());
+}
+BENCHMARK(BM_ProbeEnergy);
 
 }  // namespace
 

@@ -1,7 +1,6 @@
 #include "mac/probe.h"
 
 #include <cmath>
-#include <vector>
 
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
@@ -27,18 +26,19 @@ real probe_energy(const ProbeView& view, index_t tx_beam, index_t rx_beam,
   const real noise_var =
       1.0 / view.gamma +
       (view.interference.empty() ? 0.0 : view.interference[rx_beam]);
-  // The per-path TX gains a_tx,lᴴu are fixed for the dwell, so they are
-  // computed once here instead of once per fade.
-  std::vector<cx> gains(view.link->paths().size());
-  if (!blocked) view.link->tx_gains_into(u, gains);
+  // Per-path workspace: the TX gains a_tx,lᴴu, fixed for the dwell and so
+  // computed once here, then each fade's path gains.
+  const index_t paths = view.link->paths().size();
+  if (scratch.size() < 2 * paths) scratch = linalg::Vector(2 * paths);
+  const std::span<cx> tx_gains = scratch.data().first(paths);
+  const std::span<cx> fade_gains = scratch.data().subspan(paths, paths);
+  if (!blocked) view.link->tx_gains_into(u, tx_gains);
   // Average matched-filter energy over the slot's independent fades.
   real energy = 0.0;
   for (index_t k = 0; k < fades; ++k) {
     cx z = rng.complex_normal(noise_var);
-    if (!blocked) {
-      view.link->draw_effective_channel_into(gains, rng, scratch);
-      z += linalg::dot(v, scratch);
-    }
+    if (!blocked) z += view.link->draw_matched_filter(tx_gains, v, rng,
+                                                      fade_gains);
     energy += std::norm(z);
   }
   if (blocked && obs::enabled()) {

@@ -41,8 +41,9 @@ struct ProbeView {
 
 /// Simulates one measurement slot of `fades` independent fades on the pair
 /// (tx_beam, rx_beam) and returns the average matched-filter energy |z|².
-/// `scratch` is the caller's reusable effective-channel buffer; it must be
-/// sized to the link's RX array and must not alias anything in `view`.
+/// `scratch` is the caller's reusable per-path workspace: grown to 2·paths
+/// entries when smaller, then overwritten. Reusing one across calls keeps
+/// the steady state allocation-free. It must not alias anything in `view`.
 /// Preconditions: indices valid, fades ≥ 1, view pointers non-null,
 /// view.interference empty or sized to the RX codebook.
 real probe_energy(const ProbeView& view, index_t tx_beam, index_t rx_beam,

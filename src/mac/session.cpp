@@ -47,8 +47,7 @@ Session::Session(const channel::Link& link,
       budget_(std::min(budget, tx_codebook.size() * rx_codebook.size())),
       fades_(fades_per_measurement),
       rng_(&rng),
-      measured_(tx_codebook.size() * rx_codebook.size(), false),
-      fade_scratch_(link.rx_size()) {
+      measured_(tx_codebook.size() * rx_codebook.size(), false) {
   MMW_REQUIRE_MSG(gamma > 0.0, "SNR gamma must be positive");
   MMW_REQUIRE_MSG(budget > 0, "measurement budget must be positive");
   MMW_REQUIRE_MSG(fades_per_measurement > 0,

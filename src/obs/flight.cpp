@@ -13,22 +13,39 @@ namespace mmw::obs {
 
 /// Per-thread fixed ring. The mutex is only contended when a snapshot or
 /// clear races ongoing recording; recorder-vs-recorder is impossible.
+/// `ordinal` and `sequence` change only when the ring is recycled, under
+/// both the recorder's mutex and the ring's.
 struct FlightRecorder::Ring {
   mutable std::mutex mutex;
-  std::uint64_t ordinal = 0;   ///< thread ordinal at first record
+  std::uint64_t ordinal = 0;   ///< ordinal of the thread that registered it
   std::uint64_t sequence = 0;  ///< registration order (merge tiebreak)
   std::vector<FlightEvent> slots;
   index_t head = 0;   ///< next slot to overwrite
   index_t count = 0;  ///< live entries (≤ slots.size())
+  /// Set when the owning thread exits; a retired ring keeps its spans
+  /// (dumpable) until a newly registering thread recycles it.
+  std::atomic<bool> retired{false};
 };
 
 namespace {
 
-struct TlsRings {
+struct TlsEntry {
+  const FlightRecorder* recorder;  ///< lookup key only, never dereferenced
   // shared_ptr<void>: Ring is private to FlightRecorder; ownership is what
   // matters here, the type is recovered at the lookup site.
-  std::vector<std::pair<const FlightRecorder*, std::shared_ptr<void>>>
-      entries;
+  std::shared_ptr<void> ring;
+  std::atomic<bool>* retired;  ///< the ring's own flag
+};
+
+/// The calling thread's rings. On thread exit each is marked retired
+/// through its own flag: the recorder may already be gone, the ring (kept
+/// alive by the entry) is not.
+struct TlsRings {
+  std::vector<TlsEntry> entries;
+  ~TlsRings() {
+    for (const TlsEntry& e : entries)
+      e.retired->store(true, std::memory_order_release);
+  }
 };
 TlsRings& tls_rings() {
   thread_local TlsRings tls;
@@ -56,23 +73,37 @@ FlightRecorder::FlightRecorder(index_t capacity)
 
 FlightRecorder::~FlightRecorder() {
   auto& entries = tls_rings().entries;
-  std::erase_if(entries, [this](const auto& e) { return e.first == this; });
+  std::erase_if(entries, [this](const auto& e) { return e.recorder == this; });
 }
 
 FlightRecorder::Ring& FlightRecorder::local_ring() {
   auto& entries = tls_rings().entries;
-  for (auto& [recorder, ring] : entries)
-    if (recorder == this) return *static_cast<Ring*>(ring.get());
+  for (const TlsEntry& e : entries)
+    if (e.recorder == this) return *static_cast<Ring*>(e.ring.get());
 
-  auto ring = std::make_shared<Ring>();
-  ring->ordinal = thread_ordinal();
-  ring->slots.resize(capacity_);
+  // Recycle a retired ring if there is one, so memory stays bounded by the
+  // threads alive at once however many have come and gone.
+  std::shared_ptr<Ring> ring;
   {
     std::lock_guard lock(mutex_);
+    for (const auto& r : rings_)
+      if (r->retired.load(std::memory_order_acquire)) {
+        ring = r;
+        break;
+      }
+    if (!ring) {
+      ring = std::make_shared<Ring>();
+      ring->slots.resize(capacity_);
+      rings_.push_back(ring);
+    }
+    std::lock_guard ring_lock(ring->mutex);
+    ring->retired.store(false, std::memory_order_relaxed);
+    ring->ordinal = thread_ordinal();
     ring->sequence = next_sequence_++;
-    rings_.push_back(ring);
+    ring->head = 0;
+    ring->count = 0;
   }
-  entries.emplace_back(this, ring);
+  entries.push_back({this, ring, &ring->retired});
   return *ring;
 }
 
@@ -89,13 +120,14 @@ void FlightRecorder::record(const char* name, const char* category,
 std::string FlightRecorder::chrome_json(std::string_view reason) const {
   std::vector<std::shared_ptr<Ring>> rings;
   {
+    // Sorted under the lock: recycling rewrites ordinal and sequence.
     std::lock_guard lock(mutex_);
     rings = rings_;
+    std::sort(rings.begin(), rings.end(), [](const auto& a, const auto& b) {
+      if (a->ordinal != b->ordinal) return a->ordinal < b->ordinal;
+      return a->sequence < b->sequence;
+    });
   }
-  std::sort(rings.begin(), rings.end(), [](const auto& a, const auto& b) {
-    if (a->ordinal != b->ordinal) return a->ordinal < b->ordinal;
-    return a->sequence < b->sequence;
-  });
 
   JsonWriter w;
   w.begin_object();
@@ -168,6 +200,11 @@ std::string FlightRecorder::dump(std::string_view reason) {
 void FlightRecorder::set_dump_directory(std::string dir) {
   std::lock_guard lock(mutex_);
   dump_dir_ = std::move(dir);
+}
+
+std::uint64_t FlightRecorder::ring_count() const {
+  std::lock_guard lock(mutex_);
+  return rings_.size();
 }
 
 std::uint64_t FlightRecorder::event_count() const {

@@ -15,6 +15,12 @@
 // tools/check_obs_overhead.py (--flight-off A/B on BM_SlotCycle*).
 // MMW_FLIGHT=off (read by obs::init_from_env) disarms it for bare runs.
 //
+// Memory is bounded by the threads alive at once, not by the threads ever
+// seen: a thread's ring is retired when it exits (its spans stay dumpable)
+// and recycled by the next thread that registers. Engines build a fresh
+// ThreadPool per run, so without recycling every run would leak one ring
+// per worker.
+//
 // Dumps are capped (kMaxDumps per recorder) so a pathological run — every
 // epoch bursting — cannot fill the disk; the cap and every dump are counted
 // in the "obs.flight.dumps" metric.
@@ -84,6 +90,10 @@ class FlightRecorder {
 
   /// Spans currently held across all rings (point-in-time; tests).
   std::uint64_t event_count() const;
+
+  /// Rings registered: at most the number of recording threads ever alive
+  /// at once, since a new thread recycles the ring of one that exited.
+  std::uint64_t ring_count() const;
 
   /// Empties every ring (rings stay registered; run boundaries, tests).
   void clear();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 
 namespace mmw::randgen {
 
@@ -44,31 +45,9 @@ Rng Rng::stream(std::uint64_t master_seed, std::uint64_t key_a,
       splitmix_step(splitmix_step(master_seed, key_a), key_b), key_c));
 }
 
-real Rng::uniform(real lo, real hi) {
-  MMW_REQUIRE(lo <= hi);
-  return std::uniform_real_distribution<real>(lo, hi)(engine_);
-}
-
 std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   MMW_REQUIRE(lo <= hi);
   return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
-}
-
-// normal() and lognormal() scale a standard variate themselves: the std
-// distributions require σ > 0 (checked under _GLIBCXX_ASSERTIONS), while the
-// library passes σ = 0 (e.g. the NYC model's zero elevation spread). The
-// standard variate consumes the engine exactly as the σ-parameterized one,
-// and z·σ + μ / exp(σ·z + μ) is libstdc++'s own arithmetic, so every draw
-// and stream position is unchanged.
-real Rng::normal(real mean, real stddev) {
-  MMW_REQUIRE(stddev >= 0.0);
-  return std::normal_distribution<real>()(engine_) * stddev + mean;
-}
-
-cx Rng::complex_normal(real variance) {
-  MMW_REQUIRE(variance >= 0.0);
-  const real s = std::sqrt(variance / 2.0);
-  return cx{normal(0.0, s), normal(0.0, s)};
 }
 
 real Rng::chi_squared(real k) {
@@ -85,13 +64,6 @@ std::uint64_t Rng::poisson(real mean) {
   MMW_REQUIRE(mean > 0.0);
   return std::poisson_distribution<std::uint64_t>(mean)(engine_);
 }
-
-real Rng::lognormal(real mu, real sigma) {
-  MMW_REQUIRE(sigma >= 0.0);
-  return std::exp(sigma * std::normal_distribution<real>()(engine_) + mu);
-}
-
-real Rng::angle() { return uniform(0.0, 2.0 * M_PI); }
 
 linalg::Vector Rng::complex_gaussian_vector(index_t n, real variance) {
   linalg::Vector v(n);

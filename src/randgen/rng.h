@@ -1,8 +1,9 @@
 // Seeded random number generation for reproducible Monte-Carlo simulation.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -10,6 +11,21 @@
 #include "randgen/mersenne.h"
 
 namespace mmw::randgen {
+
+/// The double in [0, 1) that libstdc++'s generate_canonical<double, 53>
+/// makes of one 64-bit engine word, bit for bit: double(w)·2⁻⁶⁴, clamped to
+/// nextafter(1, 0) when w rounds up to 2⁶⁴ (DESIGN.md §7).
+inline real canonical_of(std::uint64_t w) {
+  // double(w) rounds once to nearest; so does the sum of the exact halves
+  // hi·2³² and lo, without the branch the compiler emits for w ≥ 2⁶³.
+  // Scaling by 2⁻⁶⁴ is exact, and min() is the clamp: every x < 1 is
+  // already ≤ nextafter(1, 0).
+  const real x = (static_cast<real>(static_cast<std::uint32_t>(w >> 32)) *
+                      0x1p32 +
+                  static_cast<real>(static_cast<std::uint32_t>(w))) *
+                 0x1p-64;
+  return std::min(x, 0x1.fffffffffffffp-1);
+}
 
 /// Deterministic random source. Every stochastic component in the library
 /// takes an Rng& explicitly — there is no hidden global state — so any
@@ -42,17 +58,28 @@ class Rng {
                     std::uint64_t key_b, std::uint64_t key_c);
 
   /// Uniform real in [lo, hi).
-  real uniform(real lo = 0.0, real hi = 1.0);
+  real uniform(real lo = 0.0, real hi = 1.0) {
+    MMW_REQUIRE(lo <= hi);
+    return canonical() * (hi - lo) + lo;
+  }
 
   /// Uniform integer in [lo, hi] (inclusive).
   std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
 
-  /// N(mean, stddev²) real Gaussian.
-  real normal(real mean = 0.0, real stddev = 1.0);
+  /// N(mean, stddev²) real Gaussian. σ = 0 returns the mean and still
+  /// consumes the draw.
+  real normal(real mean = 0.0, real stddev = 1.0) {
+    MMW_REQUIRE(stddev >= 0.0);
+    return standard_normal() * stddev + mean;
+  }
 
   /// Circularly-symmetric complex Gaussian CN(0, variance):
   /// real and imaginary parts are each N(0, variance/2), so E|x|² = variance.
-  cx complex_normal(real variance = 1.0);
+  cx complex_normal(real variance = 1.0) {
+    MMW_REQUIRE(variance >= 0.0);
+    const real s = std::sqrt(variance / 2.0);
+    return cx{normal(0.0, s), normal(0.0, s)};
+  }
 
   /// Chi-squared with k degrees of freedom.
   real chi_squared(real k);
@@ -64,10 +91,13 @@ class Rng {
   std::uint64_t poisson(real mean);
 
   /// Lognormal: exp(N(mu, sigma²)).
-  real lognormal(real mu, real sigma);
+  real lognormal(real mu, real sigma) {
+    MMW_REQUIRE(sigma >= 0.0);
+    return std::exp(sigma * standard_normal() + mu);
+  }
 
   /// Uniform angle in [0, 2π).
-  real angle();
+  real angle() { return uniform(0.0, 2.0 * M_PI); }
 
   /// Vector of iid CN(0, variance) entries.
   linalg::Vector complex_gaussian_vector(index_t n, real variance = 1.0);
@@ -89,6 +119,23 @@ class Rng {
   MersenneTwister64& engine() { return engine_; }
 
  private:
+  /// One engine word as a double in [0, 1): canonical_of(next word).
+  real canonical() { return canonical_of(engine_()); }
+
+  /// N(0, 1): the first output a fresh libstdc++ normal distribution gives
+  /// on this engine — its Marsaglia polar method with its exact
+  /// arithmetic. The trailing + 0 is the default mean: it turns the −0 of
+  /// an r2 = 1 draw into +0, as the distribution does.
+  real standard_normal() {
+    real x = 0.0, y = 0.0, r2 = 0.0;
+    do {
+      x = 2.0 * canonical() - 1.0;
+      y = 2.0 * canonical() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    return y * std::sqrt(-2.0 * std::log(r2) / r2) + 0.0;
+  }
+
   MersenneTwister64 engine_;
 };
 

@@ -397,8 +397,6 @@ void ServingEngine::step_align(index_t site, UserSession& s,
   // draw sequence and the update list's order are both pinned by it.
   std::sort(ws.probe_rx.begin(), ws.probe_rx.end());
 
-  if (ws.fade_scratch.size() != link.rx_size())
-    ws.fade_scratch = linalg::Vector(link.rx_size());
   mac::ProbeView view;
   view.link = &link;
   view.tx_codebook = &codebooks_.tx;

@@ -22,8 +22,6 @@ real collapse_scale(const TrackerOptions& o) {
 class ProbeRig {
  public:
   real probe(const TrackerContext& ctx, index_t tx, index_t rx) {
-    if (scratch_.size() != ctx.link->rx_size())
-      scratch_ = linalg::Vector(ctx.link->rx_size());
     mac::ProbeView view;
     view.link = ctx.link;
     view.tx_codebook = ctx.tx_codebook;

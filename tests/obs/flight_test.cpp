@@ -1,8 +1,11 @@
-// FlightRecorder tests: ring wraparound, multi-thread capture, Chrome-trace
-// snapshot shape, dump files, the dump cap, and disarming.
+// FlightRecorder tests: ring wraparound, multi-thread capture, ring
+// recycling across short-lived threads, Chrome-trace snapshot shape, dump
+// files, the dump cap, and disarming.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -10,6 +13,7 @@
 #include <vector>
 
 #include "obs/flight.h"
+#include "obs/obs.h"
 
 namespace mmw::obs {
 namespace {
@@ -98,6 +102,67 @@ TEST(FlightRecorderTest, EachThreadGetsItsOwnRing) {
   const std::string json = rec.chrome_json("threads");
   EXPECT_EQ(count_occurrences(json, "\"name\":\"worker.span\""), 4u);
   EXPECT_EQ(count_occurrences(json, "\"name\":\"main.span\""), 1u);
+}
+
+TEST(FlightRecorderTest, ShortLivedThreadsRecycleRings) {
+  // Engines build a fresh pool per run: 200 recording threads, at most 4
+  // alive at once, must leave at most 4 rings, not 200.
+  FlightRecorder rec(8);
+  constexpr int kThreads = 200;
+  constexpr int kAlive = 4;
+  const auto spawn = [&rec](const char* name) {
+    return std::thread([&rec, name] {
+      for (std::uint64_t i = 0; i < 3; ++i) rec.record(name, "test", i, 1);
+    });
+  };
+  for (int started = 0; started < kThreads - 1; started += kAlive) {
+    std::vector<std::thread> wave;
+    for (int t = started; t < std::min(started + kAlive, kThreads - 1); ++t)
+      wave.push_back(spawn("early.span"));
+    for (std::thread& t : wave) t.join();
+    ASSERT_LE(rec.ring_count(), static_cast<std::uint64_t>(kAlive))
+        << "after thread " << started;
+  }
+  spawn("last.span").join();
+  EXPECT_LE(rec.ring_count(), static_cast<std::uint64_t>(kAlive));
+  // Every thread has exited; no thread registered after the last one, so
+  // its spans are still in the dump.
+  const std::string json = rec.chrome_json("after exit");
+  EXPECT_EQ(count_occurrences(json, "\"name\":\"last.span\""), 3u);
+  EXPECT_LE(rec.event_count(), 3u * kAlive);
+}
+
+TEST(FlightRecorderTest, ExitedThreadsRingStaysDumpableUntilReused) {
+  FlightRecorder rec(4);
+  std::thread([&rec] { rec.record("dead.span", "test", 1, 1); }).join();
+  EXPECT_EQ(rec.ring_count(), 1u);
+  EXPECT_EQ(count_occurrences(rec.chrome_json("dead"), "dead.span"), 1u);
+  // The next registering thread takes the ring over, starting it empty.
+  rec.record("main.span", "test", 2, 1);
+  EXPECT_EQ(rec.ring_count(), 1u);
+  const std::string json = rec.chrome_json("reused");
+  EXPECT_EQ(count_occurrences(json, "dead.span"), 0u);
+  EXPECT_EQ(count_occurrences(json, "main.span"), 1u);
+}
+
+TEST(FlightRecorderTest, FlightOffFromEnvRecordsNothing) {
+  FlightRecorder& rec = FlightRecorder::global();
+  const bool was_armed = rec.armed();
+  const bool obs_was_on = enabled();
+  ASSERT_EQ(setenv("MMW_FLIGHT", "off", 1), 0);
+  init_from_env(obs_was_on);
+  EXPECT_FALSE(rec.armed());
+  const std::uint64_t events = rec.event_count();
+  const std::uint64_t rings = rec.ring_count();
+  std::thread([&rec] { rec.record("off.span", "test", 1, 1); }).join();
+  rec.record("off.span", "test", 2, 1);
+  EXPECT_EQ(rec.event_count(), events);
+  EXPECT_EQ(rec.ring_count(), rings);
+  EXPECT_EQ(rec.dump("off"), "");
+  ASSERT_EQ(unsetenv("MMW_FLIGHT"), 0);
+  init_from_env(obs_was_on);
+  EXPECT_TRUE(rec.armed());
+  rec.set_armed(was_armed);
 }
 
 TEST(FlightRecorderTest, DumpWritesSanitizedFileAndCountsUp) {

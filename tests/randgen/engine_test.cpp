@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <concepts>
 #include <numeric>
@@ -160,6 +161,131 @@ TEST(RngIdentityTest, ComplexNormal) {
     const real im = std::normal_distribution<real>(0.0, s)(ref);
     ASSERT_EQ(z.real(), re);
     ASSERT_EQ(z.imag(), im);
+  }
+}
+
+/// One mixed fade-synthesis draw on both sides, selected by `kind`:
+/// normal (σ > 0 and σ = 0), complex_normal, lognormal or uniform.
+::testing::AssertionResult same_variate(Rng& rng, std::mt19937_64& ref,
+                                        int kind, real param) {
+  real got = 0.0, want = 0.0, got_im = 0.0, want_im = 0.0;
+  switch (kind) {
+    case 0:
+      got = rng.normal(param - 1.0, param);
+      want = std::normal_distribution<real>(param - 1.0, param)(ref);
+      break;
+    case 1:  // σ = 0: the mean, and the draw is still consumed
+      got = rng.normal(param, 0.0);
+      std::normal_distribution<real>()(ref);
+      want = param;
+      break;
+    case 2: {
+      const cx z = rng.complex_normal(param);
+      const real s = std::sqrt(param / 2.0);
+      got = z.real();
+      got_im = z.imag();
+      want = std::normal_distribution<real>(0.0, s)(ref);
+      want_im = std::normal_distribution<real>(0.0, s)(ref);
+      break;
+    }
+    case 3:
+      got = rng.lognormal(param - 2.0, param);
+      want = std::lognormal_distribution<real>(param - 2.0, param)(ref);
+      break;
+    default:
+      got = rng.uniform(-param, 3.0 * param);
+      want = std::uniform_real_distribution<real>(-param, 3.0 * param)(ref);
+      break;
+  }
+  if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want) ||
+      std::bit_cast<std::uint64_t>(got_im) !=
+          std::bit_cast<std::uint64_t>(want_im))
+    return ::testing::AssertionFailure()
+           << "kind " << kind << ": " << got << "," << got_im << " != "
+           << want << "," << want_im;
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RngIdentityTest, FadeVariatesMatchStdOverSeedsAndPrefixes) {
+  std::uint64_t state = 63016;
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t seed = splitmix(state);
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    // Raw-word prefixes put the variates at every first-block position
+    // and across the first two block boundaries.
+    const int prefix = (i * 7) % 700;
+    ASSERT_TRUE(same_words(rng.engine(), ref, prefix)) << "seed " << seed;
+    for (int k = 0; k < 24; ++k) {
+      const real param = 0.25 + static_cast<real>((i + 3 * k) % 9);
+      ASSERT_TRUE(same_variate(rng, ref, (i + k) % 5, param))
+          << "seed " << seed << ", prefix " << prefix << ", draw " << k;
+    }
+  }
+}
+
+TEST(RngIdentityTest, LongMixedStreamMatchesStd) {
+  // One stream through several thousand blocks of whole-block twists.
+  Rng rng(20160610);
+  std::mt19937_64 ref(20160610);
+  std::uint64_t state = 1;
+  for (int k = 0; k < 400000; ++k) {
+    const std::uint64_t r = splitmix(state);
+    ASSERT_TRUE(same_variate(rng, ref, static_cast<int>(r % 5),
+                             0.125 + static_cast<real>(r % 13)))
+        << "draw " << k;
+  }
+}
+
+/// A generator that returns one fixed word: std::generate_canonical on it
+/// is the reference for canonical_of.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() { return word; }
+};
+
+::testing::AssertionResult canonical_matches_std(std::uint64_t w) {
+  FixedWord g{w};
+  const real want = std::generate_canonical<real, 53>(g);
+  const real want64 = std::generate_canonical<real, 64>(g);
+  const real got = canonical_of(w);
+  if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want) ||
+      std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want64))
+    return ::testing::AssertionFailure()
+           << std::hex << "word 0x" << w << std::hexfloat << ": " << got
+           << " != " << want;
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CanonicalTest, MatchesGenerateCanonicalOnHighWords) {
+  // Words ≥ 2⁶³: the ones the compiler's unsigned conversion branches on.
+  std::uint64_t state = 7;
+  for (int i = 0; i < 100000; ++i)
+    ASSERT_TRUE(canonical_matches_std(splitmix(state) | (1ULL << 63)));
+  for (const std::uint64_t w :
+       {0ULL, 1ULL, (1ULL << 32) - 1, 1ULL << 32, (1ULL << 32) + 1,
+        (1ULL << 53) + 1, (1ULL << 53) + 3, (1ULL << 63) - 1, 1ULL << 63,
+        (1ULL << 63) + 1, (1ULL << 63) + (1ULL << 10),
+        (1ULL << 63) + (3ULL << 10)})
+    EXPECT_TRUE(canonical_matches_std(w));
+}
+
+TEST(CanonicalTest, WordsRoundingToTwoToThe64AreClamped) {
+  // The top 2¹² words straddle the rounding boundary 2⁶⁴ − 2¹⁰ (a tie,
+  // which rounds to even, up). Those at or above it round to 2⁶⁴ and are
+  // clamped to the largest double below 1.
+  const real below_one = std::nextafter(1.0, 0.0);
+  for (std::uint64_t d = 1; d <= (1ULL << 12); ++d) {
+    const std::uint64_t w = ~std::uint64_t{0} - (d - 1);
+    ASSERT_TRUE(canonical_matches_std(w));
+    const real x = canonical_of(w);
+    ASSERT_LT(x, 1.0);
+    if (d <= (1ULL << 10)) {
+      ASSERT_EQ(x, below_one) << "d " << d;
+    }
   }
 }
 

@@ -96,14 +96,16 @@ TEST(NearestSiteTest, PicksClosestAndBreaksTiesLow) {
   // On top of site 2 (clamped distance ties with nothing else nearby).
   const UserPlacement on2{topo.site(2).x, topo.site(2).y};
   EXPECT_EQ(nearest_site(topo, on2), 2u);
-  // Equidistant from every site only at... the center site wins ties by
-  // index: craft a position equidistant from sites 1 and 2 but closer to
-  // them than to the rest → the lower index of the tied pair.
-  const UserPlacement mid{(topo.site(1).x + topo.site(2).x) / 2.0,
-                          (topo.site(1).y + topo.site(2).y) / 2.0};
-  const index_t pick = nearest_site(topo, mid);
-  const real d1 = topo.distance(1, mid), d2 = topo.distance(2, mid);
-  if (d1 == d2) EXPECT_EQ(pick, std::min<index_t>(1, 2));
+  // Sites 1 and 2 open the first hex ring as mirror images across the
+  // y axis, (∓isd/2, y): the point (0, y) between them is exactly
+  // equidistant (the two hypot arguments differ only in sign) and closer
+  // to them than to any other site, so the tie goes to the lower index.
+  ASSERT_EQ(topo.site(1).x, -topo.site(2).x);
+  ASSERT_EQ(topo.site(1).y, topo.site(2).y);
+  const UserPlacement mid{0.0, topo.site(1).y};
+  ASSERT_EQ(topo.distance(1, mid), topo.distance(2, mid));
+  EXPECT_LT(topo.distance(1, mid), topo.distance(0, mid));
+  EXPECT_EQ(nearest_site(topo, mid), 1u);
 }
 
 TEST(ServingSiteTest, HysteresisPreventsPingPong) {
