@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "obs/clock.h"
-#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -152,67 +151,15 @@ void ThreadPool::parallel_for(index_t begin, index_t end,
   for (index_t i = 1; i < tasks; ++i) submit(drain);
   drain();
 
-  std::unique_lock lock(sync->m);
-  sync->done.wait(lock, [&] { return sync->pending == 0; });
-  if (sync->error) std::rethrow_exception(sync->error);
-}
-
-std::vector<IterationFailure> ThreadPool::parallel_for_quarantined(
-    index_t begin, index_t end, const std::function<void(index_t)>& body) {
-  MMW_REQUIRE(begin <= end);
-  if (begin == end) return {};
-
-  struct Sync {
-    std::atomic<index_t> next;
-    std::mutex m;
-    std::condition_variable done;
-    index_t pending;
-    std::vector<IterationFailure> failures;
-  };
-  auto sync = std::make_shared<Sync>();
-  sync->next.store(begin, std::memory_order_relaxed);
-
-  const index_t tasks = std::min<index_t>(thread_count(), end - begin);
-  sync->pending = tasks;
-
-  auto drain = [this, sync, end, &body] {
-    // Claim indices until the range is exhausted; failures never cancel.
-    for (;;) {
-      const index_t i = sync->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) break;
-      try {
-        body(i);
-      } catch (const std::exception& e) {
-        std::lock_guard lock(sync->m);
-        sync->failures.push_back({i, e.what()});
-      } catch (...) {
-        std::lock_guard lock(sync->m);
-        sync->failures.push_back({i, "unknown exception"});
-      }
-      heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::lock_guard lock(sync->m);
-    if (--sync->pending == 0) sync->done.notify_all();
-  };
-
-  for (index_t i = 1; i < tasks; ++i) submit(drain);
-  drain();
-
-  std::unique_lock lock(sync->m);
-  sync->done.wait(lock, [&] { return sync->pending == 0; });
-  // Capture order is timing-dependent; the sorted list is not.
-  std::sort(sync->failures.begin(), sync->failures.end(),
-            [](const IterationFailure& a, const IterationFailure& b) {
-              return a.index < b.index;
-            });
-  // A quarantined failure is exactly the anomaly the flight recorder
-  // exists for: snapshot the last K spans per thread while the evidence is
-  // fresh. Gated on obs::enabled() so bare runs (and fault-injection tests
-  // that expect silence) don't emit dump files; the recorder itself caps
-  // dumps per process either way.
-  if (!sync->failures.empty() && obs::enabled())
-    obs::FlightRecorder::global().dump("quarantined_iteration");
-  return std::move(sync->failures);
+  // Move the exception out under the lock: a helper may still hold the last
+  // reference to `sync`, and must not be the thread that destroys it.
+  std::exception_ptr error;
+  {
+    std::unique_lock lock(sync->m);
+    sync->done.wait(lock, [&] { return sync->pending == 0; });
+    error = std::move(sync->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace mmw::core

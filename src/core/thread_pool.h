@@ -7,8 +7,9 @@
 //    negligible next to the milliseconds a trial costs;
 //  - determinism lives in the *caller*: the pool makes no ordering promises
 //    about execution, so callers that need reproducible output must write
-//    results into per-index slots and reduce in index order (which is
-//    exactly what sim::run_search_effectiveness does).
+//    results into per-index slots and reduce in index order. Engines do not
+//    call the pool directly: they go through core::run_shards
+//    (core/shards.h), which adds the serial path and trial quarantine.
 #pragma once
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,12 +30,6 @@ namespace mmw::core {
 /// Returns the thread count a knob value of 0 ("auto") resolves to:
 /// std::thread::hardware_concurrency(), clamped to at least 1.
 index_t resolve_thread_count(index_t requested);
-
-/// One captured iteration failure of parallel_for_quarantined.
-struct IterationFailure {
-  index_t index = 0;     ///< the iteration that threw
-  std::string message;   ///< what() of the thrown exception
-};
 
 /// Fixed-size thread pool. Threads are started in the constructor and
 /// joined in the destructor; there is no dynamic resizing.
@@ -83,19 +77,8 @@ class ThreadPool {
   void parallel_for(index_t begin, index_t end,
                     const std::function<void(index_t)>& body);
 
-  /// Quarantine variant: every iteration runs regardless of other
-  /// iterations' failures; a throwing iteration is captured — never
-  /// rethrown — and reported in the returned list, sorted by index. The
-  /// set of failures is a pure function of `body` (no cancellation, no
-  /// timing dependence), which is what lets the Monte-Carlo drivers
-  /// exclude poisoned trials identically at any thread count
-  /// (DESIGN.md §11).
-  std::vector<IterationFailure> parallel_for_quarantined(
-      index_t begin, index_t end,
-      const std::function<void(index_t)>& body);
-
-  /// Monotone progress counter: bumped once per completed parallel_for /
-  /// parallel_for_quarantined iteration and per drained submit() task.
+  /// Monotone progress counter: bumped once per completed parallel_for
+  /// iteration and per drained submit() task.
   /// The obs::Watchdog reads this (plus the engine's own counters) to tell
   /// "slow epoch" from "wedged pool" — any forward motion anywhere in the
   /// pool resets the stall clock. Safe to read from any thread.

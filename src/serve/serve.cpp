@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/shards.h"
 #include "estimation/beamspace.h"
 #include "estimation/covariance_ml.h"
 #include "linalg/kernels.h"
@@ -166,9 +167,10 @@ ServingEngine::ServingEngine(ServeConfig config)
   for (index_t s = 0; s < sites; ++s)
     pools_.emplace_back(config_.session_block);
   next_user_key_.assign(sites, 0);
-  threads_ = core::resolve_thread_count(config_.scenario.threads);
-  if (threads_ > 1)
-    thread_pool_ = std::make_unique<core::ThreadPool>(threads_);
+  if (const index_t threads =
+          core::resolve_thread_count(config_.scenario.threads);
+      threads > 1)
+    thread_pool_ = std::make_unique<core::ThreadPool>(threads);
 
   if (!config_.telemetry.ndjson_path.empty())
     sink_.open(config_.telemetry.ndjson_path);
@@ -519,11 +521,8 @@ EpochReport ServingEngine::step_epoch() {
     churn_site(site, churn_frames[site]);
     progress_.fetch_add(1, std::memory_order_relaxed);
   };
-  if (thread_pool_ && sites > 1) {
-    thread_pool_->parallel_for(0, sites, churn_one);
-  } else {
-    for (index_t site = 0; site < sites; ++site) churn_one(site);
-  }
+  core::run_shards(thread_pool_.get(), sites, core::OnFailure::kPropagate,
+                   churn_one);
 
   // Phase 2 — step every live session, sharded (site × slab).
   shards_.clear();
@@ -542,11 +541,8 @@ EpochReport ServingEngine::step_epoch() {
     step_shard(shards_[i].first, shards_[i].second, step_frames[i]);
     progress_.fetch_add(1, std::memory_order_relaxed);
   };
-  if (thread_pool_ && shards_.size() > 1) {
-    thread_pool_->parallel_for(0, shards_.size(), step_one);
-  } else {
-    for (index_t i = 0; i < shards_.size(); ++i) step_one(i);
-  }
+  core::run_shards(thread_pool_.get(), shards_.size(),
+                   core::OnFailure::kPropagate, step_one);
   step_seconds_ += step_timer.seconds();
 
   // Reduce in flat shard order — parallel output == serial output.

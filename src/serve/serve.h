@@ -252,7 +252,6 @@ class ServingEngine {
   std::vector<SessionPool> pools_;            ///< one per site
   std::vector<std::uint64_t> next_user_key_;  ///< per-site arrival ordinal
   index_t epoch_ = 0;
-  index_t threads_ = 1;
   std::unique_ptr<core::ThreadPool> thread_pool_;  ///< null when serial
 
   std::uint64_t peak_live_ = 0;

@@ -2,7 +2,7 @@
 //  - search effectiveness: mean SNR loss vs search rate (Figs. 5 & 6);
 //  - cost efficiency: required search rate vs target loss (Figs. 7 & 8).
 //
-// Both drivers spread trials over a core::ThreadPool sized by
+// Both drivers spread trials through core::run_shards over a pool sized by
 // Scenario::threads (0 = all cores, 1 = serial fallback with no pool).
 // Determinism contract: trial t draws from randgen::Rng::stream(seed, t)
 // and per-trial results are reduced in trial-index order, so for a fixed

@@ -6,9 +6,7 @@
 #include <optional>
 #include <sstream>
 
-#include "channel/temporal.h"
-#include "core/thread_pool.h"
-#include "fault/context.h"
+#include "core/shards.h"
 #include "linalg/decompositions.h"
 #include "linalg/factored.h"
 #include "obs/clock.h"
@@ -43,13 +41,6 @@ struct MultiCellMetrics {
     return m;
   }
 };
-
-index_t rate_to_budget(real rate, index_t total) {
-  MMW_REQUIRE_MSG(rate > 0.0 && rate <= 1.0,
-                  "search rate must be in (0, 1]");
-  return std::max<index_t>(1,
-                           static_cast<index_t>(std::llround(rate * total)));
-}
 
 /// Key spaces of the engine's three-key streams. A run uses
 /// Rng::stream(seed, key_a, user, trial) with key_a partitioned as:
@@ -201,16 +192,9 @@ MultiCellResult run_multicell(
       // cell·users + user of the reserved fault range, so enabling faults
       // perturbs no serving/cross/beam stream and each user fails
       // independently of cell count and thread count.
-      std::optional<fault::FaultPlan> plan;
-      std::optional<channel::Link> degraded;
-      if (sc.faults.any()) {
-        randgen::Rng fault_rng = fault::fault_stream(
-            sc.seed, static_cast<std::uint64_t>(cell) * users + user, trial);
-        plan.emplace(fault::FaultPlan::draw(sc.faults, budget,
-                                            link.paths().size(), fault_rng));
-        if (plan->has_blockage())
-          degraded = channel::blocked_link(link, plan->path_power_scale());
-      }
+      const std::optional<TrialFaults> faults = draw_trial_faults(
+          sc.faults, sc.seed, static_cast<std::uint64_t>(cell) * users + user,
+          trial, link, budget);
 
       const core::PairGainOracle oracle(link, cbs.tx, cbs.rx);
       UserOutcome out;
@@ -223,14 +207,7 @@ MultiCellResult run_multicell(
         mac::Session session(link, cbs.tx, cbs.rx, sc.gamma, budget,
                              run_rng, sc.fades_per_measurement);
         if (interfering) session.set_interference(interference);
-        fault::TrialFaultState fault_state;
-        std::optional<fault::ScopedTrialFaults> fault_guard;
-        if (plan) {
-          session.arm_faults(&*plan, degraded ? &*degraded : nullptr);
-          fault_state.plan = &*plan;
-          fault_guard.emplace(fault_state);
-        }
-        strategy->run(session);
+        run_with_faults(*strategy, session, faults);
         const index_t graded = std::min<index_t>(
             grade_budget, session.records().size());
         out.loss_db.push_back(
@@ -256,30 +233,14 @@ MultiCellResult run_multicell(
     }
   };
 
-  const index_t threads =
-      std::min(core::resolve_thread_count(sc.threads), n_shards);
+  const auto pool = core::make_pool(sc.threads, n_shards);
   std::vector<index_t> quarantined;
-  if (!sc.faults.quarantine_trials) {
-    if (threads <= 1) {
-      for (index_t s = 0; s < n_shards; ++s) run_shard(s);
-    } else {
-      core::ThreadPool pool(threads);
-      pool.parallel_for(0, n_shards, [&](index_t s) { run_shard(s); });
-    }
-  } else if (threads <= 1) {
-    for (index_t s = 0; s < n_shards; ++s) {
-      try {
-        run_shard(s);
-      } catch (...) {  // parity with parallel_for_quarantined's net
-        quarantined.push_back(s);
-      }
-    }
-  } else {
-    core::ThreadPool pool(threads);
-    for (const core::IterationFailure& f : pool.parallel_for_quarantined(
-             0, n_shards, [&](index_t s) { run_shard(s); }))
-      quarantined.push_back(f.index);
-  }
+  for (const core::IterationFailure& f : core::run_shards(
+           pool.get(), n_shards,
+           sc.faults.quarantine_trials ? core::OnFailure::kQuarantine
+                                       : core::OnFailure::kPropagate,
+           run_shard))
+    quarantined.push_back(f.index);
   if (!quarantined.empty()) {
     static const obs::Counter quarantined_counter =
         obs::Registry::global().counter("sim.multicell.shards_quarantined");

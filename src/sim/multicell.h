@@ -4,7 +4,7 @@
 // of every measurement (mac::Session::set_interference).
 //
 // Determinism contract (DESIGN.md §9): work is sharded at (cell × trial)
-// granularity over core::ThreadPool. Every random quantity inside a shard
+// granularity over core::run_shards. Every random quantity inside a shard
 // comes from a shared-state-free three-key stream
 // Rng::stream(seed, key, user, trial) — serving links, user drops, cross
 // links, and the interferers' active TX beams all have fixed key spaces —

@@ -1,15 +1,11 @@
 #include "sim/robustness.h"
 
-#include <algorithm>
-#include <cmath>
 #include <iostream>
 #include <optional>
 #include <sstream>
 
-#include "channel/temporal.h"
-#include "core/thread_pool.h"
+#include "core/shards.h"
 #include "estimation/robust.h"
-#include "fault/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/evaluation.h"
@@ -17,13 +13,6 @@
 namespace mmw::sim {
 
 namespace {
-
-index_t rate_to_budget(real rate, index_t total) {
-  MMW_REQUIRE_MSG(rate > 0.0 && rate <= 1.0,
-                  "budget rate must be in (0, 1]");
-  return std::max<index_t>(1,
-                           static_cast<index_t>(std::llround(rate * total)));
-}
 
 /// One (trial, strategy) cell of the matrix, owned by its trial slot.
 struct RunOutcome {
@@ -57,6 +46,7 @@ std::vector<FaultCaseResult> run_fault_robustness(
   const index_t total = sc.total_pairs();
   const index_t budget = rate_to_budget(config.budget_rate, total);
 
+  const auto pool = core::make_pool(sc.threads, sc.trials);
   std::vector<FaultCaseResult> results;
   results.reserve(cases.size());
 
@@ -74,25 +64,16 @@ std::vector<FaultCaseResult> run_fault_robustness(
 
       // The fault entity is the CASE index: independent realizations per
       // case, one shared plan per (case, trial) across strategies.
-      std::optional<fault::FaultPlan> plan;
-      std::optional<channel::Link> degraded;
+      const std::optional<TrialFaults> faults = draw_trial_faults(
+          fault_case.faults, sc.seed, ci, t, ctx.link, budget);
+      // The final pair is held on the POST-onset link, so it is graded
+      // against the degraded truth — a strategy that re-aligns onto a
+      // surviving path is rewarded, one that clings to the blocked
+      // dominant path is not.
       std::optional<core::PairGainOracle> degraded_oracle;
-      if (fault_case.faults.any()) {
-        randgen::Rng fault_rng = fault::fault_stream(sc.seed, ci, t);
-        plan.emplace(fault::FaultPlan::draw(fault_case.faults, budget,
-                                            ctx.link.paths().size(),
-                                            fault_rng));
-        if (plan->has_blockage()) {
-          degraded =
-              channel::blocked_link(ctx.link, plan->path_power_scale());
-          // The final pair is held on the POST-onset link, so it is graded
-          // against the degraded truth — a strategy that re-aligns onto a
-          // surviving path is rewarded, one that clings to the blocked
-          // dominant path is not.
-          degraded_oracle.emplace(*degraded, ctx.tx_codebook,
-                                  ctx.rx_codebook);
-        }
-      }
+      if (faults && faults->degraded)
+        degraded_oracle.emplace(*faults->degraded, ctx.tx_codebook,
+                                ctx.rx_codebook);
       const core::PairGainOracle& grade_oracle =
           degraded_oracle ? *degraded_oracle : ctx.oracle;
 
@@ -104,14 +85,8 @@ std::vector<FaultCaseResult> run_fault_robustness(
         mac::Session session(ctx.link, ctx.tx_codebook, ctx.rx_codebook,
                              sc.gamma, budget, run_rng,
                              sc.fades_per_measurement);
-        fault::TrialFaultState fault_state;
-        std::optional<fault::ScopedTrialFaults> fault_guard;
-        if (plan) {
-          session.arm_faults(&*plan, degraded ? &*degraded : nullptr);
-          fault_state.plan = &*plan;
-          fault_guard.emplace(fault_state);
-        }
-        strategy->run(session);
+        const fault::TrialFaultState fault_state =
+            run_with_faults(*strategy, session, faults);
 
         RunOutcome out;
         if (config.realign) {
@@ -133,30 +108,14 @@ std::vector<FaultCaseResult> run_fault_robustness(
       }
     };
 
-    const index_t threads =
-        std::min(core::resolve_thread_count(sc.threads), sc.trials);
     std::vector<index_t> quarantined;
-    if (!fault_case.faults.quarantine_trials) {
-      if (threads <= 1) {
-        for (index_t t = 0; t < sc.trials; ++t) run_trial(t);
-      } else {
-        core::ThreadPool pool(threads);
-        pool.parallel_for(0, sc.trials, [&](index_t t) { run_trial(t); });
-      }
-    } else if (threads <= 1) {
-      for (index_t t = 0; t < sc.trials; ++t) {
-        try {
-          run_trial(t);
-        } catch (...) {  // parity with parallel_for_quarantined's net
-          quarantined.push_back(t);
-        }
-      }
-    } else {
-      core::ThreadPool pool(threads);
-      for (const core::IterationFailure& f : pool.parallel_for_quarantined(
-               0, sc.trials, [&](index_t t) { run_trial(t); }))
-        quarantined.push_back(f.index);
-    }
+    for (const core::IterationFailure& f : core::run_shards(
+             pool.get(), sc.trials,
+             fault_case.faults.quarantine_trials
+                 ? core::OnFailure::kQuarantine
+                 : core::OnFailure::kPropagate,
+             run_trial))
+      quarantined.push_back(f.index);
     if (!quarantined.empty()) {
       static const obs::Counter quarantined_counter =
           obs::Registry::global().counter("sim.trials.quarantined");

@@ -1,5 +1,11 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
+#include <cmath>
+
+#include "channel/temporal.h"
+#include "core/strategy.h"
+
 namespace mmw::sim {
 
 CodebookPair make_scenario_codebooks(const Scenario& scenario) {
@@ -37,6 +43,45 @@ TrialContext make_trial(const Scenario& scenario, randgen::Rng& rng) {
   core::PairGainOracle oracle(link, cbs.tx, cbs.rx);
   return TrialContext{std::move(link), std::move(cbs.tx), std::move(cbs.rx),
                       std::move(oracle)};
+}
+
+index_t rate_to_budget(real rate, index_t total) {
+  MMW_REQUIRE_MSG(rate > 0.0 && rate <= 1.0, "rate must be in (0, 1]");
+  return std::max<index_t>(1,
+                           static_cast<index_t>(std::llround(rate * total)));
+}
+
+std::optional<TrialFaults> draw_trial_faults(const fault::FaultConfig& config,
+                                             std::uint64_t seed,
+                                             std::uint64_t entity,
+                                             index_t trial,
+                                             const channel::Link& link,
+                                             index_t budget) {
+  if (!config.any()) return std::nullopt;
+  randgen::Rng rng = fault::fault_stream(seed, entity, trial);
+  std::optional<TrialFaults> out;
+  out.emplace(TrialFaults{
+      fault::FaultPlan::draw(config, budget, link.paths().size(), rng),
+      std::nullopt});
+  if (out->plan.has_blockage())
+    out->degraded = channel::blocked_link(link, out->plan.path_power_scale());
+  return out;
+}
+
+fault::TrialFaultState run_with_faults(
+    const core::AlignmentStrategy& strategy, mac::Session& session,
+    const std::optional<TrialFaults>& faults) {
+  fault::TrialFaultState state;
+  if (!faults) {
+    strategy.run(session);
+    return state;
+  }
+  session.arm_faults(&faults->plan,
+                     faults->degraded ? &*faults->degraded : nullptr);
+  state.plan = &faults->plan;
+  const fault::ScopedTrialFaults armed(state);
+  strategy.run(session);
+  return state;
 }
 
 }  // namespace mmw::sim

@@ -9,12 +9,18 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "antenna/codebook.h"
 #include "channel/models.h"
 #include "core/oracle.h"
+#include "fault/context.h"
 #include "fault/fault.h"
 #include "mac/session.h"
+
+namespace mmw::core {
+class AlignmentStrategy;
+}
 
 namespace mmw::sim {
 
@@ -114,5 +120,36 @@ channel::Link make_scenario_link(const Scenario& scenario, randgen::Rng& rng);
 /// Draws the trial-specific link and builds codebooks/oracle. Composes the
 /// two helpers above; same thread-safety contract.
 TrialContext make_trial(const Scenario& scenario, randgen::Rng& rng);
+
+/// Measurement budget of a search/budget rate in (0, 1] over `total`
+/// pairs: round(rate·total), at least one slot.
+index_t rate_to_budget(real rate, index_t total);
+
+/// One (entity, trial) fault realization, shared by every strategy run on
+/// that link (fairness: strategies face the same blockage onset, the same
+/// dropped slots, the same stressed solves).
+struct TrialFaults {
+  fault::FaultPlan plan;
+  std::optional<channel::Link> degraded;  ///< set iff plan has a blockage
+};
+
+/// Draws the plan of (entity, trial) over `budget` slots of `link` from
+/// the reserved fault key range (fault::fault_stream), so the trial's
+/// measurement streams are untouched; nullopt when `config` injects
+/// nothing.
+std::optional<TrialFaults> draw_trial_faults(const fault::FaultConfig& config,
+                                             std::uint64_t seed,
+                                             std::uint64_t entity,
+                                             index_t trial,
+                                             const channel::Link& link,
+                                             index_t budget);
+
+/// Runs `strategy` on `session`, armed with `faults` when set: the session
+/// injects the plan's slot faults and blockage, and this thread's fault
+/// context (fault/context.h) feeds the stressed solves to the degradation
+/// ladder. Returns the run's fault counters (all zero when unarmed).
+fault::TrialFaultState run_with_faults(
+    const core::AlignmentStrategy& strategy, mac::Session& session,
+    const std::optional<TrialFaults>& faults);
 
 }  // namespace mmw::sim

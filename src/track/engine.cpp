@@ -6,7 +6,7 @@
 #include <optional>
 #include <sstream>
 
-#include "core/thread_pool.h"
+#include "core/shards.h"
 #include "obs/digest.h"
 #include "obs/metrics.h"
 #include "randgen/keylanes.h"
@@ -161,14 +161,8 @@ TrackingResult run_tracking(const TrackingConfig& config,
     run_shard(config, topology, codebooks, evolution, kind, user,
               frames[shard]);
   };
-  const index_t threads =
-      core::resolve_thread_count(config.scenario.threads);
-  if (threads <= 1) {
-    for (index_t s = 0; s < n_shards; ++s) body(s);
-  } else {
-    core::ThreadPool pool(threads);
-    pool.parallel_for(0, n_shards, body);
-  }
+  core::run_shards(core::make_pool(config.scenario.threads, n_shards).get(),
+                   n_shards, core::OnFailure::kPropagate, body);
 
   TrackingResult result;
   result.users = config.users;

@@ -8,8 +8,10 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/shards.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
 
@@ -93,28 +95,67 @@ TEST(ThreadPoolTest, LowestIndexFailureWinsDeterministically) {
 
 TEST(ThreadPoolTest, QuarantineCollectsEveryFailureSorted) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  const std::vector<IterationFailure> failures =
-      pool.parallel_for_quarantined(0, 100, [&](index_t i) {
-        hits[i].fetch_add(1);
-        if (i % 10 == 5) throw std::runtime_error("bad " + std::to_string(i));
-      });
-  // No cancellation: every index ran exactly once.
-  for (index_t i = 0; i < 100; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  ASSERT_EQ(failures.size(), 10u);
-  for (index_t k = 0; k < failures.size(); ++k) {
-    EXPECT_EQ(failures[k].index, 10 * k + 5);
-    EXPECT_EQ(failures[k].message, "bad " + std::to_string(10 * k + 5));
+  // Pooled and inline (no pool) runs report the same sorted failures.
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    std::vector<std::atomic<int>> hits(100);
+    const std::vector<IterationFailure> failures =
+        run_shards(p, 100, OnFailure::kQuarantine, [&](index_t i) {
+          hits[i].fetch_add(1);
+          if (i % 10 == 5)
+            throw std::runtime_error("bad " + std::to_string(i));
+        });
+    // No cancellation: every index ran exactly once.
+    for (index_t i = 0; i < 100; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+    ASSERT_EQ(failures.size(), 10u);
+    for (index_t k = 0; k < failures.size(); ++k) {
+      EXPECT_EQ(failures[k].index, 10 * k + 5);
+      EXPECT_EQ(failures[k].message, "bad " + std::to_string(10 * k + 5));
+    }
   }
 }
 
 TEST(ThreadPoolTest, QuarantineEmptyWhenNothingThrows) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
-  const auto failures = pool.parallel_for_quarantined(
-      0, 32, [&](index_t) { done.fetch_add(1); });
+  const auto failures = run_shards(&pool, 32, OnFailure::kQuarantine,
+                                   [&](index_t) { done.fetch_add(1); });
   EXPECT_TRUE(failures.empty());
   EXPECT_EQ(done.load(), 32);
+}
+
+TEST(ThreadPoolTest, RunShardsWithoutPoolRunsInOrderOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<index_t> order;
+  const auto failures =
+      run_shards(nullptr, 5, OnFailure::kPropagate, [&](index_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+      });
+  EXPECT_TRUE(failures.empty());
+  EXPECT_EQ(order, (std::vector<index_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, RunShardsPropagatesLowestIndexFailure) {
+  ThreadPool pool(4);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    try {
+      run_shards(p, 200, OnFailure::kPropagate, [](index_t i) {
+        if (i % 7 == 3) throw std::runtime_error("fail@" + std::to_string(i));
+      });
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "fail@3");
+    }
+  }
+}
+
+TEST(ThreadPoolTest, MakePoolIsNullForOneThread) {
+  EXPECT_EQ(make_pool(1, 100), nullptr);
+  EXPECT_EQ(make_pool(8, 1), nullptr);  // one shard: nothing to spread
+  EXPECT_EQ(make_pool(4, 0), nullptr);
+  const auto pool = make_pool(8, 3);  // capped at the shard count
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->thread_count(), 3u);
 }
 
 TEST(ThreadPoolTest, SequentialParallelForsReuseTheSamePool) {
@@ -143,7 +184,7 @@ TEST(ThreadPoolTest, HeartbeatAdvancesWithWork) {
   // One beat per completed iteration — the watchdog's liveness signal.
   EXPECT_GE(after_for, before + 100);
 
-  pool.parallel_for_quarantined(0, 50, [](index_t i) {
+  run_shards(&pool, 50, OnFailure::kQuarantine, [](index_t i) {
     if (i % 2 == 0) throw std::runtime_error("boom");
   });
   // Failing iterations still beat: a shard that throws is not a stall.
@@ -174,10 +215,10 @@ TEST(ThreadPoolTest, QuarantinedFailureDumpsFlightRecorder) {
       obs::FlightRecorder::global().dump_count();
 
   ThreadPool pool(2);
-  pool.parallel_for_quarantined(0, 8, [](index_t i) {
-    if (i == 3) throw std::runtime_error("quarantine me");
+  run_shards(&pool, 8, OnFailure::kQuarantine, [](index_t i) {
+    if (i == 3 || i == 5) throw std::runtime_error("quarantine me");
   });
-  // One dump per quarantined parallel_for with failures, not per failure.
+  // One dump per quarantined run_shards with failures, not per failure.
   EXPECT_EQ(obs::FlightRecorder::global().dump_count(), dumps_before + 1);
 
   bool found = false;
@@ -188,8 +229,14 @@ TEST(ThreadPoolTest, QuarantinedFailureDumpsFlightRecorder) {
   EXPECT_TRUE(found);
 
   // A clean quarantined run must NOT dump.
-  pool.parallel_for_quarantined(0, 8, [](index_t) {});
+  run_shards(&pool, 8, OnFailure::kQuarantine, [](index_t) {});
   EXPECT_EQ(obs::FlightRecorder::global().dump_count(), dumps_before + 1);
+
+  // Without a pool (one thread) a failing call dumps just the same.
+  run_shards(nullptr, 8, OnFailure::kQuarantine, [](index_t i) {
+    if (i == 0) throw std::runtime_error("quarantine me");
+  });
+  EXPECT_EQ(obs::FlightRecorder::global().dump_count(), dumps_before + 2);
 
   obs::FlightRecorder::global().set_dump_directory("bench_results");
   obs::set_enabled(was_enabled);

@@ -1,13 +1,21 @@
-// Quarantine + fault-robustness determinism: a trial that throws under
-// faults.quarantine_trials must be excluded IDENTICALLY at every thread
-// count, and the E8 robustness matrix must render byte-identical CSVs
-// serial and parallel. See DESIGN.md §11.
+// Quarantine + fault-robustness determinism: a trial or shard that throws
+// under faults.quarantine_trials must be excluded IDENTICALLY at every
+// thread count by every Monte-Carlo driver (fig5–8, E7, E8), the flight
+// recorder must snapshot it at every thread count, and the E8 robustness
+// matrix must render byte-identical CSVs serial and parallel. See
+// DESIGN.md §11.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "obs/flight.h"
+#include "obs/obs.h"
 #include "sim/experiments.h"
+#include "sim/multicell.h"
 #include "sim/robustness.h"
 
 namespace mmw::sim {
@@ -55,36 +63,128 @@ class AlwaysThrowSearch final : public core::AlignmentStrategy {
   }
 };
 
+/// What the quarantine tests compare across thread counts for one run of a
+/// fig driver: the excluded trials, the summaries and their CSV bytes.
+struct QuarantinedSweep {
+  std::vector<index_t> quarantined;
+  std::map<std::string, std::vector<Summary>> series;
+  std::string csv;
+};
+
 TEST(QuarantineTest, FailedTrialsExcludedIdenticallyAcrossThreadCounts) {
-  const std::vector<real> rates{0.25, 0.75};
   DropSensitiveSearch fragile;
   core::ScanSearch scan;
   const std::vector<const core::AlignmentStrategy*> strategies{&fragile,
                                                                &scan};
-  auto run = [&](index_t threads) {
+  const auto scenario = [](index_t threads) {
     Scenario sc = tiny_scenario(threads);
     sc.faults.drop_probability = 0.4;
     sc.faults.quarantine_trials = true;
-    return run_search_effectiveness(sc, strategies, rates);
+    return sc;
   };
-  const EffectivenessResult serial = run(1);
-  // The drop coin lands heads for SOME first slots but not all: the
-  // quarantine set is non-empty and non-total (a seed-dependent fact this
-  // test pins; if the seed changes, pick one with a mixed outcome).
-  ASSERT_FALSE(serial.quarantined_trials.empty());
-  ASSERT_LT(serial.quarantined_trials.size(), tiny_scenario(1).trials);
-  for (const auto& [name, summaries] : serial.loss_db)
-    for (const Summary& s : summaries)
-      EXPECT_EQ(s.count,
-                tiny_scenario(1).trials - serial.quarantined_trials.size())
-          << name;
+  // One input per driver family: fig5–6 and fig7–8.
+  const std::vector<std::function<QuarantinedSweep(index_t)>> drivers{
+      [&](index_t threads) {
+        const EffectivenessResult r = run_search_effectiveness(
+            scenario(threads), strategies, {0.25, 0.75});
+        return QuarantinedSweep{
+            r.quarantined_trials, r.loss_db,
+            render_csv("search_rate", r.search_rates, r.loss_db)};
+      },
+      [&](index_t threads) {
+        const CostEfficiencyResult r =
+            run_cost_efficiency(scenario(threads), strategies, {3.0, 1.0});
+        return QuarantinedSweep{
+            r.quarantined_trials, r.required_rate,
+            render_csv("target_loss_db", r.target_loss_db, r.required_rate)};
+      },
+  };
+  for (const auto& run : drivers) {
+    const QuarantinedSweep serial = run(1);
+    // The drop coin lands heads for SOME first slots but not all: the
+    // quarantine set is non-empty and non-total (a seed-dependent fact this
+    // test pins; if the seed changes, pick one with a mixed outcome).
+    ASSERT_FALSE(serial.quarantined.empty());
+    ASSERT_LT(serial.quarantined.size(), tiny_scenario(1).trials);
+    for (const auto& [name, summaries] : serial.series)
+      for (const Summary& s : summaries)
+        EXPECT_EQ(s.count,
+                  tiny_scenario(1).trials - serial.quarantined.size())
+            << name;
+
+    for (const index_t threads : {index_t{2}, index_t{8}}) {
+      const QuarantinedSweep parallel = run(threads);
+      EXPECT_EQ(serial.quarantined, parallel.quarantined);
+      EXPECT_EQ(serial.csv, parallel.csv);
+    }
+  }
+}
+
+TEST(QuarantineTest, SerialQuarantineDumpsFlightRecorderOnce) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "mmw_sim_flight_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  recorder.set_dump_directory(dir.string());
+  const std::uint64_t dumps_before = recorder.dump_count();
+
+  DropSensitiveSearch fragile;
+  Scenario sc = tiny_scenario(1);
+  sc.faults.drop_probability = 0.4;
+  sc.faults.quarantine_trials = true;
+  const EffectivenessResult failed =
+      run_search_effectiveness(sc, {&fragile}, {0.5});
+  ASSERT_GT(failed.quarantined_trials.size(), 1u);
+  // One dump per quarantining run, not one per quarantined trial.
+  EXPECT_EQ(recorder.dump_count(), dumps_before + 1);
+  index_t files = 0;
+  for (const auto& e : fs::directory_iterator(dir))
+    if (e.path().filename().string().find("quarantined_iteration") !=
+        std::string::npos)
+      ++files;
+  EXPECT_EQ(files, 1u);
+
+  // A clean run under the same quarantine knob must not dump.
+  sc.faults.drop_probability = 0.0;
+  const EffectivenessResult clean =
+      run_search_effectiveness(sc, {&fragile}, {0.5});
+  EXPECT_TRUE(clean.quarantined_trials.empty());
+  EXPECT_EQ(recorder.dump_count(), dumps_before + 1);
+
+  recorder.set_dump_directory("bench_results");
+  obs::set_enabled(was_enabled);
+  fs::remove_all(dir);
+}
+
+TEST(QuarantineTest, MulticellShardsExcludedIdenticallyAcrossThreadCounts) {
+  DropSensitiveSearch fragile;
+  core::ScanSearch scan;
+  auto run = [&](index_t threads) {
+    MultiCellConfig config;
+    config.topology.cells = 3;
+    config.topology.users_per_cell = 2;
+    config.scenario = tiny_scenario(threads);
+    config.scenario.trials = 4;
+    config.scenario.faults.drop_probability = 0.2;
+    config.scenario.faults.quarantine_trials = true;
+    return run_multicell(config, {&fragile, &scan});
+  };
+  const index_t n_shards = 3 * 4;
+  const MultiCellResult serial = run(1);
+  ASSERT_FALSE(serial.quarantined_shards.empty());
+  ASSERT_LT(serial.quarantined_shards.size(), n_shards);
+  EXPECT_EQ(serial.sessions_per_strategy,
+            (n_shards - serial.quarantined_shards.size()) * 2);
+  const std::string csv = render_multicell_csv("cells", {3}, {serial});
 
   for (const index_t threads : {index_t{2}, index_t{8}}) {
-    const EffectivenessResult parallel = run(threads);
-    EXPECT_EQ(serial.quarantined_trials, parallel.quarantined_trials);
-    EXPECT_EQ(
-        render_csv("search_rate", serial.search_rates, serial.loss_db),
-        render_csv("search_rate", parallel.search_rates, parallel.loss_db));
+    const MultiCellResult parallel = run(threads);
+    EXPECT_EQ(serial.quarantined_shards, parallel.quarantined_shards);
+    EXPECT_EQ(serial.sessions_per_strategy, parallel.sessions_per_strategy);
+    EXPECT_EQ(csv, render_multicell_csv("cells", {3}, {parallel}));
   }
 }
 
@@ -154,6 +254,41 @@ TEST(RobustnessMatrixTest, CsvByteIdenticalAcrossThreadCounts) {
     clean_slots += r.recovery_slots.mean;
   EXPECT_GT(blockage_outages, 0.0);
   EXPECT_GT(blockage_slots, clean_slots);
+}
+
+TEST(RobustnessMatrixTest, QuarantinedCountsIdenticalAcrossThreadCounts) {
+  DropSensitiveSearch fragile;
+  core::ScanSearch scan;
+  std::vector<FaultCase> cases(2);
+  cases[0].name = "clean";
+  cases[0].faults.quarantine_trials = true;
+  cases[1].name = "drops";
+  cases[1].faults.drop_probability = 0.4;
+  cases[1].faults.quarantine_trials = true;
+
+  auto run = [&](index_t threads) {
+    RobustnessConfig config;
+    config.scenario = tiny_scenario(threads);
+    config.budget_rate = 0.25;
+    return run_fault_robustness(config, {&fragile, &scan}, cases);
+  };
+  const auto serial = run(1);
+  ASSERT_EQ(serial.size(), 2u);
+  EXPECT_EQ(serial[0].quarantined, 0u);
+  ASSERT_GT(serial[1].quarantined, 0u);
+  ASSERT_LT(serial[1].quarantined, tiny_scenario(1).trials);
+  for (const auto& [name, r] : serial[1].by_strategy)
+    EXPECT_EQ(r.trials, tiny_scenario(1).trials - serial[1].quarantined)
+        << name;
+  const std::string csv = render_robustness_csv(serial);
+
+  for (const index_t threads : {index_t{2}, index_t{8}}) {
+    const auto parallel = run(threads);
+    ASSERT_EQ(parallel.size(), 2u);
+    EXPECT_EQ(parallel[0].quarantined, serial[0].quarantined);
+    EXPECT_EQ(parallel[1].quarantined, serial[1].quarantined);
+    EXPECT_EQ(csv, render_robustness_csv(parallel));
+  }
 }
 
 TEST(RobustnessMatrixTest, RealignOffSpendsNoRecoverySlots) {
