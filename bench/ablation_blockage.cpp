@@ -10,6 +10,8 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Ablation A8: measurement blockage sweep.", {});
   mmw::bench::BenchRun run("ablation_blockage", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;

@@ -10,11 +10,14 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Ablation A5: codebook family: angular grid vs DFT.", {});
   mmw::bench::BenchRun run("ablation_codebook", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A5", "codebook family: angular grid vs DFT");
+  bench::print_header("Ablation A5", "codebook family: angular grid vs DFT",
+                      cli.threads());
 
   const std::vector<real> rates{0.05, 0.10, 0.20};
   core::RandomSearch random_search;
@@ -24,6 +27,7 @@ int main(int argc, char** argv) {
 
   for (const auto cb : {CodebookKind::kAngularGrid, CodebookKind::kDft}) {
     Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 20);
+    sc.threads = cli.threads();
     sc.codebook = cb;
     const auto res = run_search_effectiveness(sc, strategies, rates);
     std::printf("%s codebook\n%s\n",

@@ -6,11 +6,14 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Ablation A4: covariance estimator comparison.", {});
   mmw::bench::BenchRun run("ablation_estimator_compare", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A4", "covariance estimator comparison");
+  bench::print_header("Ablation A4", "covariance estimator comparison",
+                      cli.threads());
 
   const std::vector<real> rates{0.05, 0.10, 0.20};
   const std::pair<core::EstimatorKind, const char*> kinds[] = {
@@ -28,7 +31,8 @@ int main(int argc, char** argv) {
     std::printf("estimator");
     for (const real r : rates) std::printf("\t%.0f%%", 100.0 * r);
     std::printf("\n");
-    const Scenario sc = bench::paper_scenario(kind, 20);
+    Scenario sc = bench::paper_scenario(kind, 20);
+    sc.threads = cli.threads();
     for (const auto& [ek, label] : kinds) {
       core::ProposedOptions opts;
       opts.estimator_kind = ek;

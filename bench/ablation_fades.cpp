@@ -10,11 +10,14 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Ablation A6: fades per measurement (K) sweep.", {});
   mmw::bench::BenchRun run("ablation_fades", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A6", "fades per measurement (K) sweep");
+  bench::print_header("Ablation A6", "fades per measurement (K) sweep",
+                      cli.threads());
 
   const std::vector<real> rates{0.10, 1.0};
   core::RandomSearch random_search;
@@ -28,6 +31,7 @@ int main(int argc, char** argv) {
   for (const index_t k :
        {index_t{1}, index_t{2}, index_t{4}, index_t{8}, index_t{32}}) {
     Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 15);
+    sc.threads = cli.threads();
     sc.fades_per_measurement = k;
     const auto res = run_search_effectiveness(sc, strategies, rates);
     std::printf("%zu\t%.3f\t%.3f\t%.3f\t%.3f\n", k,

@@ -8,11 +8,14 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Ablation A1: J (measurements per TX-slot) sweep.", {});
   mmw::bench::BenchRun run("ablation_j_sweep", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A1", "J (measurements per TX-slot) sweep");
+  bench::print_header("Ablation A1", "J (measurements per TX-slot) sweep",
+                      cli.threads());
 
   const std::vector<real> rates{0.05, 0.10, 0.20};
   for (const auto kind :
@@ -23,7 +26,8 @@ int main(int argc, char** argv) {
     std::printf("J\\rate");
     for (const real r : rates) std::printf("\t%.0f%%", 100.0 * r);
     std::printf("\n");
-    const Scenario sc = bench::paper_scenario(kind, 20);
+    Scenario sc = bench::paper_scenario(kind, 20);
+    sc.threads = cli.threads();
     for (const index_t j : {index_t{3}, index_t{4}, index_t{6}, index_t{8},
                             index_t{12}, index_t{16}}) {
       core::ProposedOptions opts;

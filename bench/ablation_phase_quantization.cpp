@@ -13,6 +13,8 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Ablation A7: phase-shifter resolution sweep.", {});
   mmw::bench::BenchRun run("ablation_phase_quantization", argc, argv);
   using namespace mmw;
   using antenna::ArrayGeometry;

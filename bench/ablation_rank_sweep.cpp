@@ -11,6 +11,8 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Ablation A3: channel rank (path count) sweep.", {});
   mmw::bench::BenchRun run("ablation_rank_sweep", argc, argv);
   using namespace mmw;
   using antenna::ArrayGeometry;

@@ -9,11 +9,14 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Extension E6: bidirectional (ping-pong) training.", {});
   mmw::bench::BenchRun run("ext_bidirectional", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Extension E6", "bidirectional (ping-pong) training");
+  bench::print_header("Extension E6", "bidirectional (ping-pong) training",
+                      cli.threads());
 
   core::RandomSearch random_search;
   core::ProposedAlignment proposed;
@@ -24,7 +27,8 @@ int main(int argc, char** argv) {
 
   for (const auto kind :
        {ChannelKind::kSinglePath, ChannelKind::kNycMultipath}) {
-    const Scenario sc = bench::paper_scenario(kind, 25);
+    Scenario sc = bench::paper_scenario(kind, 25);
+    sc.threads = cli.threads();
     const auto res = run_search_effectiveness(sc, strategies, rates);
     std::printf("%s channel\n%s\n",
                 kind == ChannelKind::kSinglePath ? "single-path"

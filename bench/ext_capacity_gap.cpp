@@ -12,6 +12,8 @@
 #include "phy/capacity.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Extension E3: beamforming vs MIMO capacity.", {});
   mmw::bench::BenchRun run("ext_capacity_gap", argc, argv);
   using namespace mmw;
   using antenna::ArrayGeometry;

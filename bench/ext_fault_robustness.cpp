@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   bench::BenchRun run("ext_fault_robustness", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
   sc.trials = cli.u64("--trials", sc.trials);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = cli.threads();
   run.add_scenario(sc);
   bench::print_header("Extension E8",
                       "alignment robustness under injected faults",

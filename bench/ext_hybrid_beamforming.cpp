@@ -15,6 +15,8 @@
 #include "phy/hybrid.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Extension E5: hybrid precoding vs RF chains.", {});
   mmw::bench::BenchRun run("ext_hybrid_beamforming", argc, argv);
   using namespace mmw;
   using antenna::ArrayGeometry;

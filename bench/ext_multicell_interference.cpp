@@ -45,9 +45,12 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
+  const bench::Cli cli(
+      argc, argv,
+      "Extension E7: multi-cell alignment under inter-cell interference.", {});
   bench::BenchRun run("ext_multicell_interference", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 10);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = cli.threads();
   run.add_scenario(sc);
   bench::print_header("Extension E7",
                       "multi-cell alignment under inter-cell interference",

@@ -9,6 +9,9 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv,
+      "Extension E2: net spectral efficiency vs re-alignment period.", {});
   mmw::bench::BenchRun run("ext_protocol_overhead", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   // with ~30 dB of honest SNR heterogeneity between center and edge.
   sc.gamma = 1000.0;
   sc.seed = 2016;
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = cli.threads();
   run.add_scenario(sc);
   const index_t cores = core::resolve_thread_count(sc.threads);
 

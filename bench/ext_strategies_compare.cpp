@@ -10,6 +10,9 @@
 #include "sim/evaluation.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv,
+      "Extension E1: protocol comparison incl. 802.15.3c-style sweep.", {});
   mmw::bench::BenchRun run("ext_strategies_compare", argc, argv);
   using namespace mmw;
   using namespace mmw::sim;

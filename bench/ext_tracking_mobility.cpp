@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   sc.fades_per_measurement = 4;
   sc.gamma = 1000.0;  // 30 dB at reference distance; pathloss eats ~30 dB
   sc.seed = 20160610;
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = cli.threads();
   run.add_scenario(sc);
 
   const bool tiny = cli.has("--tiny");

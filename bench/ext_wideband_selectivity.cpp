@@ -12,6 +12,8 @@
 #include "fig_common.h"
 
 int main(int argc, char** argv) {
+  const mmw::bench::Cli cli(
+      argc, argv, "Extension E4: wideband selectivity of aligned beams.", {});
   mmw::bench::BenchRun run("ext_wideband_selectivity", argc, argv);
   using namespace mmw;
   using antenna::ArrayGeometry;

@@ -12,9 +12,11 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
+  const bench::Cli cli(
+      argc, argv, "Figure 5: search effectiveness, single-path channel.", {});
   bench::BenchRun run("fig5_search_effectiveness_singlepath", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = cli.threads();
   run.add_scenario(sc);
   bench::print_header("Figure 5", "search effectiveness, single-path channel",
                       sc.threads);

@@ -12,9 +12,11 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
+  const bench::Cli cli(
+      argc, argv, "Figure 6: search effectiveness, NYC multipath channel.", {});
   bench::BenchRun run("fig6_search_effectiveness_multipath", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = cli.threads();
   run.add_scenario(sc);
   bench::print_header("Figure 6",
                       "search effectiveness, NYC multipath channel",

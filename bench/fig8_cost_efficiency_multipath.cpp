@@ -11,9 +11,11 @@ int main(int argc, char** argv) {
   using namespace mmw;
   using namespace mmw::sim;
 
+  const bench::Cli cli(
+      argc, argv, "Figure 8: cost efficiency, NYC multipath channel.", {});
   bench::BenchRun run("fig8_cost_efficiency_multipath", argc, argv);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath);
-  sc.threads = bench::threads_from_cli(argc, argv);
+  sc.threads = cli.threads();
   run.add_scenario(sc);
   bench::print_header("Figure 8", "cost efficiency, NYC multipath channel",
                       sc.threads);

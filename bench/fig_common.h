@@ -22,25 +22,9 @@
 
 namespace mmw::bench {
 
-/// Thread-count knob shared by every figure bench: `--threads N` (or
-/// `--threads=N`) on the command line, else the MMW_THREADS environment
-/// variable, else 0 = auto (all hardware threads). The results are
-/// bit-identical for any value — this only trades wall-clock for cores.
-inline index_t threads_from_cli(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0)
-      return std::strtoull(argv[i] + 10, nullptr, 10);
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      return std::strtoull(argv[i + 1], nullptr, 10);
-  }
-  if (const char* env = std::getenv("MMW_THREADS"))
-    return std::strtoull(env, nullptr, 10);
-  return 0;
-}
-
 /// Strict command line for a bench binary. Every flag is declared up front
 /// with its value kind; the shared --threads, --obs and --trace flags (read
-/// by threads_from_cli and BenchRun) are always declared. The constructor
+/// by threads() and BenchRun) are always declared. The constructor
 /// checks the whole argv before the bench does any work:
 ///
 ///  - `--help` / `-h` prints the usage and exits 0;
@@ -104,6 +88,16 @@ class Cli {
   }
 
   bool has(const char* name) const { return values_.count(name) > 0; }
+
+  /// Worker threads: `--threads N`, else the MMW_THREADS environment
+  /// variable, else 0 = auto (all hardware threads). Results are
+  /// bit-identical for any value — this only trades wall-clock for cores.
+  index_t threads() const {
+    if (has("--threads")) return u64("--threads", 0);
+    if (const char* env = std::getenv("MMW_THREADS"))
+      return std::strtoull(env, nullptr, 10);
+    return 0;
+  }
 
   std::uint64_t u64(const char* name, std::uint64_t fallback) const {
     const auto it = values_.find(name);

@@ -1,20 +1,7 @@
 // Command-line experiment driver: run any of the paper's experiments with
 // custom parameters without writing code.
 //
-// Usage:
-//   alignment_cli [--channel single|nyc] [--experiment loss|cost]
-//                 [--trials N] [--seed S] [--gamma-db G] [--fades K]
-//                 [--codebook angular|dft] [--slot-j J]
-//                 [--threads T]            (0 = all cores, 1 = serial;
-//                                           results identical either way)
-//                 [--rates r1,r2,...]      (loss experiment)
-//                 [--targets t1,t2,...]    (cost experiment)
-//                 [--csv]
-//                 [--trace PATH]           (write a Chrome trace JSON —
-//                                           load in chrome://tracing or
-//                                           ui.perfetto.dev)
-//                 [--metrics PATH]         (write the merged metrics
-//                                           snapshot as JSON)
+// Usage: alignment_cli --help
 //
 // Instrumentation: --trace/--metrics turn the obs layer on; otherwise it
 // follows MMW_OBS (default off for this example — zero overhead).
@@ -37,9 +24,28 @@ namespace {
 
 using namespace mmw;
 
+constexpr const char* kUsage =
+    "usage: alignment_cli [options]\n"
+    "  --channel single|nyc     channel model (default single)\n"
+    "  --experiment loss|cost   Figs. 5-6 loss or Figs. 7-8 cost (loss)\n"
+    "  --trials N               Monte-Carlo trials (20)\n"
+    "  --seed S                 master seed (2016)\n"
+    "  --gamma-db G             pre-beamforming SNR gamma, dB (0)\n"
+    "  --fades K                fades averaged per measurement (8)\n"
+    "  --codebook angular|dft   codebook family (angular)\n"
+    "  --slot-j J               measurements per TX slot (Proposed)\n"
+    "  --threads T              0 = all cores, 1 = serial; results\n"
+    "                           are identical either way\n"
+    "  --rates r1,r2,...        search rates (loss experiment)\n"
+    "  --targets t1,t2,...      target losses, dB (cost experiment)\n"
+    "  --csv                    print CSV instead of a table\n"
+    "  --trace PATH             write a Chrome trace JSON\n"
+    "                           (chrome://tracing or ui.perfetto.dev)\n"
+    "  --metrics PATH           write the merged metrics snapshot JSON\n"
+    "  --help                   print this and exit\n";
+
 [[noreturn]] void usage_error(const std::string& message) {
-  std::fprintf(stderr, "error: %s\nsee the header of alignment_cli.cpp for usage\n",
-               message.c_str());
+  std::fprintf(stderr, "error: %s (see --help)\n", message.c_str());
   std::exit(2);
 }
 
@@ -81,7 +87,10 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_error("missing value for " + arg);
       return argv[++i];
     };
-    if (arg == "--channel") {
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (arg == "--channel") {
       const std::string v = value();
       if (v == "single")
         scenario.channel = sim::ChannelKind::kSinglePath;

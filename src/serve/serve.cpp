@@ -8,7 +8,6 @@
 
 #include "core/shards.h"
 #include "estimation/beamspace.h"
-#include "estimation/covariance_ml.h"
 #include "linalg/kernels.h"
 #include "mac/probe.h"
 #include "obs/clock.h"
@@ -17,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "randgen/keylanes.h"
+#include "track/policy.h"
 
 namespace mmw::serve {
 
@@ -48,9 +48,6 @@ randgen::Rng churn_stream(std::uint64_t seed, index_t site, index_t epoch) {
   return randgen::Rng::stream(seed, randgen::lanes::serve_churn_lane(site),
                               0, static_cast<std::uint64_t>(epoch));
 }
-
-/// Window growth per re-alignment slot of the kNeighborhood probe policy.
-constexpr index_t kRealignWidenRadius = 2;
 
 /// serve.* telemetry, published once per tick from the MERGED frame on the
 /// calling thread — recording never happens inside shards, so obs on/off
@@ -99,8 +96,7 @@ struct ServingEngine::MetricFrame {
   std::uint64_t arrivals = 0;
   std::uint64_t departures = 0;
   std::uint64_t measurement_slots = 0;
-  std::uint64_t nonconverged = 0;  ///< kWarmMl solves past max_iterations
-  obs::QuantileDigest loss;        ///< claimed-vs-optimal SNR loss, dB
+  obs::QuantileDigest loss;  ///< claimed-vs-optimal SNR loss, dB
 
   void record_loss(real db) { loss.add(db); }
 
@@ -114,7 +110,6 @@ struct ServingEngine::MetricFrame {
     arrivals += o.arrivals;
     departures += o.departures;
     measurement_slots += o.measurement_slots;
-    nonconverged += o.nonconverged;
     loss.merge(o.loss);
   }
 };
@@ -130,7 +125,6 @@ struct ServingEngine::Workspace {
   std::vector<real> probe_energy;
   std::vector<estimation::BeamComponent> prior;
   std::vector<estimation::BeamComponent> update;
-  std::vector<estimation::BeamMeasurement> measurements;
 };
 
 ServingEngine::ServingEngine(ServeConfig config)
@@ -336,65 +330,22 @@ void ServingEngine::step_align(index_t site, UserSession& s,
   // beam (user_key + k) mod M, so align_epochs ≥ M covers the whole TX
   // codebook and the per-session offset spreads concurrent aligners evenly
   // over it. The RX probe set is the top-(J−1) codewords of the resident
-  // covariance (the paper's covariance-directed measurement) with the
-  // remainder drawn uniformly for exploration; a fresh session (rank 0)
-  // probes all-random.
+  // covariance (the paper's covariance-directed measurement, shared with
+  // the warm_ml tracker) topped up by the cursor sweep: s.cursor counts
+  // probes spent, so consecutive slots continue where the last stopped, the
+  // key offset decorrelates sessions, and a fresh session (rank 0) covers
+  // all N beams in ⌈N/J⌉ slots.
   const index_t tx = static_cast<index_t>(
       (s.user_key + s.slots_aligned) % static_cast<std::uint64_t>(n_tx));
+  ws.prior.clear();
+  for (index_t i = 0; i < s.rank; ++i)
+    ws.prior.push_back({static_cast<index_t>(s.comp_beam[i]),
+                        static_cast<real>(s.comp_weight[i])});
   ws.probe_rx.clear();
-  if (s.rank > 0) {
-    ws.prior.clear();
-    for (index_t i = 0; i < s.rank; ++i)
-      ws.prior.push_back({static_cast<index_t>(s.comp_beam[i]),
-                          static_cast<real>(s.comp_weight[i])});
-    const linalg::FactoredHermitian q =
-        estimation::expand_beam_space(ws.prior, codebooks_.rx);
-    if (!q.empty()) {
-      if (ws.scores.size() != n_rx) ws.scores.assign(n_rx, 0.0);
-      codebooks_.rx.covariance_scores_into(q, ws.scores);
-      const index_t top = j > 1 ? j - 1 : 1;  // j > 1 keeps one explore slot
-      for (index_t pick = 0; pick < top; ++pick) {
-        index_t best = n_rx;
-        real best_score = 0.0;
-        for (index_t v = 0; v < n_rx; ++v) {
-          if (!(ws.scores[v] > best_score)) continue;  // ties → lowest v
-          if (std::find(ws.probe_rx.begin(), ws.probe_rx.end(), v) !=
-              ws.probe_rx.end())
-            continue;
-          best = v;
-          best_score = ws.scores[v];
-        }
-        if (best == n_rx) break;  // covariance has no more positive mass
-        ws.probe_rx.push_back(best);
-      }
-    }
-  }
-  // Exploration picks, by the configured probe policy (track/policy.h).
-  // The default cursor sweep (s.cursor counts probes spent, so consecutive
-  // slots continue where the last stopped; the key offset decorrelates
-  // sessions) never re-probes a beam before wrapping, so a fresh session
-  // covers all N beams in ⌈N/J⌉ slots — and is byte-identical to the
-  // pre-policy engine. A re-aligning session (realigns > 0) under
-  // kNeighborhood scans the widening window around its last claimed RX
-  // beam first — the PR-6 recovery shape — topping up from the cursor;
-  // kBanditUcb decorrelates exploration with the hash spread.
-  switch (config_.probe_policy) {
-    case track::ProbePolicy::kNeighborhood:
-      if (s.realigns > 0) {
-        const index_t radius =
-            (static_cast<index_t>(s.slots_aligned) + 1) * kRealignWidenRadius;
-        track::append_neighborhood_probes(s.rx_beam, radius, n_rx, j,
-                                          ws.probe_rx);
-      }
-      track::append_cursor_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
-      break;
-    case track::ProbePolicy::kBanditUcb:
-      track::append_spread_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
-      break;
-    case track::ProbePolicy::kCursorSweep:
-      track::append_cursor_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
-      break;
-  }
+  track::append_directed_probes(
+      estimation::expand_beam_space(ws.prior, codebooks_.rx), codebooks_.rx, j,
+      ws.scores, ws.probe_rx);
+  track::append_cursor_probes(s.user_key, s.cursor, n_rx, j, ws.probe_rx);
   // Canonical measurement order (ascending RX index): the probe loop's
   // draw sequence and the update list's order are both pinned by it.
   std::sort(ws.probe_rx.begin(), ws.probe_rx.end());
@@ -420,43 +371,16 @@ void ServingEngine::step_align(index_t site, UserSession& s,
   frame.measurement_slots += j;
   s.cursor += static_cast<std::uint32_t>(j);
 
-  // Fold the slot's energies into the resident beam-space covariance.
-  ws.prior.clear();
-  for (index_t i = 0; i < s.rank; ++i)
-    ws.prior.push_back({static_cast<index_t>(s.comp_beam[i]),
-                        static_cast<real>(s.comp_weight[i])});
-  std::vector<estimation::BeamComponent> merged;
-  if (config_.estimator == EstimatorKind::kWarmMl) {
-    ws.measurements.clear();
-    for (index_t i = 0; i < ws.probe_rx.size(); ++i)
-      ws.measurements.push_back(
-          {codebooks_.rx.codeword(ws.probe_rx[i]), ws.probe_energy[i]});
-    estimation::CovarianceMlOptions opts;
-    opts.gamma = 1.0 / noise_var;
-    opts.max_iterations = 40;
-    opts.tolerance = 1e-4;
-    const linalg::FactoredHermitian prior =
-        estimation::expand_beam_space(ws.prior, codebooks_.rx);
-    const estimation::CovarianceMlResult res =
-        estimation::estimate_covariance_ml_warm(n_rx, ws.measurements, opts,
-                                                prior);
-    if (!res.converged) ++frame.nonconverged;  // ladder rung (observe only)
-    if (ws.scores.size() != n_rx) ws.scores.assign(n_rx, 0.0);
-    merged = estimation::compress_to_beam_space(res.q, codebooks_.rx,
-                                                kMaxComponents, ws.scores);
-    // Forgetting still applies across slots: ML re-solves from this slot's
-    // measurements, so blend like the moment path.
-    merged = estimation::merge_beam_space(ws.prior, config_.forgetting,
-                                          merged, kMaxComponents);
-  } else {
-    ws.update.clear();
-    for (index_t i = 0; i < ws.probe_rx.size(); ++i) {
-      const real w = std::max(ws.probe_energy[i] - noise_var, 0.0);
-      if (w > 0.0) ws.update.push_back({ws.probe_rx[i], w});
-    }
-    merged = estimation::merge_beam_space(ws.prior, config_.forgetting,
-                                          ws.update, kMaxComponents);
+  // Fold the slot's energies, as moment excess (energy − noise)₊ per
+  // probed beam, into the resident beam-space covariance.
+  ws.update.clear();
+  for (index_t i = 0; i < ws.probe_rx.size(); ++i) {
+    const real w = std::max(ws.probe_energy[i] - noise_var, 0.0);
+    if (w > 0.0) ws.update.push_back({ws.probe_rx[i], w});
   }
+  const std::vector<estimation::BeamComponent> merged =
+      estimation::merge_beam_space(ws.prior, config_.forgetting, ws.update,
+                                   kMaxComponents);
   s.rank = static_cast<std::uint8_t>(merged.size());
   for (index_t i = 0; i < kMaxComponents; ++i) {
     s.comp_beam[i] =
@@ -561,7 +485,6 @@ EpochReport ServingEngine::step_epoch() {
   r.realignments = total.realignments;
   r.claims = total.claims;
   r.measurement_slots = total.measurement_slots;
-  r.estimator_nonconverged = total.nonconverged;
   r.loss_samples = total.loss.count();
   r.mean_loss_db =
       r.loss_samples > 0
@@ -612,7 +535,6 @@ void ServingEngine::emit_telemetry(const EpochReport& report,
   rec.realignments = report.realignments;
   rec.claims = report.claims;
   rec.measurement_slots = report.measurement_slots;
-  rec.estimator_nonconverged = report.estimator_nonconverged;
   rec.pool_resident_bytes = resident_bytes();
   rec.pool_high_water_bytes = high_water_bytes();
   rec.loss_count = report.loss_samples;

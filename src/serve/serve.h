@@ -13,14 +13,17 @@
 //  2. STEP, sharded by (site × slab): every live session advances one
 //     epoch. An ALIGNING session rebuilds its link from the identity
 //     stream, spends one measurement slot (probes_per_slot matched-filter
-//     probes through mac::probe_energy — the same chain as mac::Session),
-//     and folds the observed energies into its beam-space covariance; after
-//     align_epochs slots it claims its best pair and drops to TRACKING. A
-//     tracking session costs O(track_fades) with NO link rebuild: a
-//     matched-filter probe of the claimed pair is distribution-equivalent
-//     to drawing z ~ CN(0, G + σ²) per fade, so the fast path samples that
-//     law directly and applies the mac::Session collapse test; an outage
-//     re-enters alignment warm (the beam-space covariance survives).
+//     probes through mac::probe_energy — the same chain as mac::Session —
+//     on the resident covariance's top-(J−1) RX codewords plus cursor-sweep
+//     exploration, picked by track/policy.h exactly as the warm_ml tracker
+//     picks them), and folds the observed energies, as moment excess, into
+//     its beam-space covariance; after align_epochs slots it claims its
+//     best pair and drops to TRACKING. A tracking session costs
+//     O(track_fades) with NO link rebuild: a matched-filter probe of the
+//     claimed pair is distribution-equivalent to drawing z ~ CN(0, G + σ²)
+//     per fade, so the fast path samples that law directly and applies the
+//     mac::Session collapse test; an outage re-enters alignment warm (the
+//     beam-space covariance survives).
 //
 // Determinism contract (the fig5–8 contract, extended to churn): every
 // random quantity is drawn from a shared-state-free stream keyed by
@@ -52,20 +55,17 @@
 #include "serve/slab.h"
 #include "sim/scenario.h"
 #include "sim/topology.h"
-#include "track/policy.h"
 
 namespace mmw::serve {
 
 /// How an aligning session turns a slot's probe energies into its resident
-/// beam-space covariance.
+/// beam-space covariance. There is one estimator; the enum stays because
+/// existing drivers name it.
 enum class EstimatorKind {
   /// Moment excess (energy − noise)₊ per probed beam, merged with
-  /// exponential forgetting — allocation-light, the serving default.
+  /// exponential forgetting — allocation-light. The per-slot warm ML solve
+  /// is the warm_ml tracker's (track/tracker.h).
   kBeamSpace,
-  /// Per-slot regularized ML solve warm-started from the resident prior
-  /// (estimation::estimate_covariance_ml_warm), compressed back to beam
-  /// space. The paper-faithful estimator; ~10× the alignment-slot cost.
-  kWarmMl,
 };
 
 /// Live-telemetry knobs (DESIGN.md §14). All of it only OBSERVES: enabling
@@ -127,15 +127,6 @@ struct ServeConfig {
 
   EstimatorKind estimator = EstimatorKind::kBeamSpace;
 
-  /// How alignment slots pick their exploration probes (track/policy.h).
-  /// The default cursor sweep is the legacy PR-9 behavior — every golden
-  /// E9 byte is unchanged unless a non-default policy is selected. The
-  /// non-default policies make re-aligning residents behave like the
-  /// corresponding trackers: kNeighborhood re-scans a widening window
-  /// around the last claimed RX beam, kBanditUcb spreads exploration
-  /// probes by hash instead of sequentially.
-  track::ProbePolicy probe_policy = track::ProbePolicy::kCursorSweep;
-
   /// Sessions per slab — the allocator grain AND the step-shard grain.
   index_t session_block = 4096;
 
@@ -157,7 +148,6 @@ struct EpochReport {
   std::uint64_t realignments = 0;   ///< claims by previously-outaged sessions
   std::uint64_t claims = 0;         ///< beam pairs claimed this epoch
   std::uint64_t measurement_slots = 0;  ///< training slots spent this epoch
-  std::uint64_t estimator_nonconverged = 0;  ///< kWarmMl ladder rung
   std::uint64_t loss_samples = 0;   ///< tracking sessions contributing loss
   real mean_loss_db = 0.0;          ///< mean claimed-vs-optimal SNR loss
   real p50_loss_db = 0.0;

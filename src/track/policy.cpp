@@ -12,6 +12,29 @@ bool contains(const std::vector<index_t>& v, index_t x) {
 
 }  // namespace
 
+void append_directed_probes(const linalg::FactoredHermitian& q,
+                            const antenna::Codebook& rx_codebook, index_t j,
+                            std::vector<real>& scores,
+                            std::vector<index_t>& out) {
+  if (q.empty()) return;
+  const index_t n = rx_codebook.size();
+  scores.resize(n);
+  rx_codebook.covariance_scores_into(q, scores);
+  const index_t top = j > 1 ? j - 1 : 1;
+  for (index_t pick = 0; pick < top; ++pick) {
+    index_t best = n;
+    real best_score = 0.0;
+    for (index_t v = 0; v < n; ++v) {
+      if (!(scores[v] > best_score)) continue;  // ties → lowest v
+      if (contains(out, v)) continue;
+      best = v;
+      best_score = scores[v];
+    }
+    if (best == n) break;  // no more positive mass
+    out.push_back(best);
+  }
+}
+
 void append_cursor_probes(std::uint64_t user_key, std::uint64_t cursor,
                           index_t n_rx, index_t want,
                           std::vector<index_t>& out) {
@@ -22,47 +45,6 @@ void append_cursor_probes(std::uint64_t user_key, std::uint64_t cursor,
     while (contains(out, cand)) cand = (cand + 1) % n_rx;
     out.push_back(cand);
     cand = (cand + 1) % n_rx;
-  }
-}
-
-void append_neighborhood_probes(index_t center, index_t radius, index_t n_rx,
-                                index_t want, std::vector<index_t>& out) {
-  MMW_REQUIRE(n_rx >= 1 && center < n_rx);
-  const long long n = static_cast<long long>(n_rx);
-  const auto wrap = [&](long long offset) {
-    const long long i = (static_cast<long long>(center) + offset % n + n) % n;
-    return static_cast<index_t>(i);
-  };
-  const auto push = [&](long long offset) {
-    const index_t cand = wrap(offset);
-    if (!contains(out, cand)) out.push_back(cand);
-  };
-  push(0);
-  for (long long r = 1; r <= static_cast<long long>(radius); ++r) {
-    if (out.size() >= want) break;
-    push(-r);
-    if (out.size() >= want) break;
-    push(r);
-  }
-}
-
-void append_spread_probes(std::uint64_t user_key, std::uint64_t cursor,
-                          index_t n_rx, index_t want,
-                          std::vector<index_t>& out) {
-  MMW_REQUIRE(n_rx >= 1 && want <= n_rx);
-  // SplitMix64 over a state derived from (user_key, cursor): the standard
-  // finalizer, the same mixing family Rng::stream chains — but used here as
-  // a stateless index hash, not a random stream (no draws are consumed).
-  std::uint64_t state = user_key * 0x9E3779B97F4A7C15ULL + cursor;
-  while (out.size() < want) {
-    state += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    z ^= z >> 31;
-    index_t cand = static_cast<index_t>(z % static_cast<std::uint64_t>(n_rx));
-    while (contains(out, cand)) cand = (cand + 1) % n_rx;
-    out.push_back(cand);
   }
 }
 

@@ -1,51 +1,35 @@
-// Deterministic RX probe-selection policies shared by the tracking layer
-// and the serving engine. Each selector is a pure function of its inputs —
-// no RNG, no hidden state — so a 96-byte resident UserSession (serve/) can
-// run the same selection logic as a heap-backed Tracker (track/tracker.h):
-// the session's cursor/beam fields ARE the tracker state.
+// Deterministic RX probe selection shared by the warm_ml tracker
+// (track/tracker.h) and the serving engine (serve/serve.h). An alignment
+// slot's RX probe set is the covariance-directed exploit picks followed by
+// the cursor-sweep exploration picks. Each selector is a pure function of
+// its inputs — no RNG, no hidden state — so a 96-byte resident UserSession
+// (serve/) runs the same selection as a heap-backed Tracker: the session's
+// cursor/beam fields ARE the tracker state.
 #pragma once
 
 #include <vector>
 
-#include "linalg/common.h"
+#include "antenna/codebook.h"
+#include "linalg/factored.h"
 
 namespace mmw::track {
 
-/// How serve::ServingEngine picks the exploration probes of an alignment
-/// slot (the covariance-directed exploit picks are policy-independent).
-enum class ProbePolicy {
-  /// Sequential cursor sweep over the RX codebook (the legacy PR-9
-  /// behavior; byte-identical CSVs to pre-tracking builds). Default.
-  kCursorSweep,
-  /// Re-aligning sessions scan a widening Chebyshev window around the last
-  /// claimed RX beam (the PR-6 recovery shape); fresh sessions fall back to
-  /// the cursor sweep.
-  kNeighborhood,
-  /// UCB-flavored selection: exploration probes jump pseudo-randomly
-  /// (hash-spread, not sequential) so repeated re-alignments of the same
-  /// session decorrelate — the serving-engine face of the bandit tracker.
-  kBanditUcb,
-};
+/// Covariance-directed candidates (the paper's Sec. IV-B measurement):
+/// scores every RX codeword by c_vᴴ q c_v and appends the highest-scoring
+/// index not already in `out`, max(j − 1, 1) times (j > 1 keeps one slot
+/// for exploration). Ties break to the lowest index; picking stops at the
+/// first pick whose best score is not positive, so an empty q (or one with
+/// no positive mass) appends nothing. `scores` is caller scratch, resized
+/// to rx_codebook.size() and overwritten.
+void append_directed_probes(const linalg::FactoredHermitian& q,
+                            const antenna::Codebook& rx_codebook, index_t j,
+                            std::vector<real>& scores,
+                            std::vector<index_t>& out);
 
 /// Cursor-sweep candidates: appends probes (user_key + cursor + i) mod n_rx,
 /// skipping indices already in `out`, until out has `want` entries.
 /// Preconditions: want ≤ n_rx, n_rx ≥ 1.
 void append_cursor_probes(std::uint64_t user_key, std::uint64_t cursor,
-                          index_t n_rx, index_t want,
-                          std::vector<index_t>& out);
-
-/// Chebyshev-window candidates around `center` with wraparound: offsets
-/// 0, −1, +1, −2, +2, … up to ±radius, skipping duplicates, until `out`
-/// has `want` entries or the window is exhausted (callers top up with
-/// another selector). Preconditions: center < n_rx, n_rx ≥ 1.
-void append_neighborhood_probes(index_t center, index_t radius, index_t n_rx,
-                                index_t want, std::vector<index_t>& out);
-
-/// Hash-spread candidates: a SplitMix64 sequence seeded by (user_key,
-/// cursor) mapped onto [0, n_rx), skipping duplicates, until `out` has
-/// `want` entries. Deterministic for fixed inputs, decorrelated across
-/// cursor values. Preconditions: want ≤ n_rx, n_rx ≥ 1.
-void append_spread_probes(std::uint64_t user_key, std::uint64_t cursor,
                           index_t n_rx, index_t want,
                           std::vector<index_t>& out);
 

@@ -75,6 +75,25 @@ std::vector<estimation::BeamComponent> components_from_excess(
   return estimation::merge_beam_space({}, 0.0, update, max_components);
 }
 
+/// Exhaustive acquire: one full sweep claims its best pair into `state`
+/// and compresses the per-RX excess into its components. The report names
+/// the claimed pair and the sweep's probes.
+TrackerReport acquire(const TrackerContext& ctx, ProbeRig& rig,
+                      std::vector<real>& rx_excess, index_t max_components,
+                      BeamState& state) {
+  const SweepOutcome sweep = full_sweep(ctx, rig, rx_excess);
+  state.tx_beam = sweep.tx;
+  state.rx_beam = sweep.rx;
+  state.trained_energy = sweep.energy;
+  state.components = components_from_excess(rx_excess, max_components);
+  TrackerReport report;
+  report.tx_beam = sweep.tx;
+  report.rx_beam = sweep.rx;
+  report.probes = sweep.probes;
+  report.realigned = true;
+  return report;
+}
+
 // ---------------------------------------------------------------------------
 // Cold start: the baseline that re-aligns from scratch every epoch.
 class ColdStartTracker final : public Tracker {
@@ -87,18 +106,7 @@ class ColdStartTracker final : public Tracker {
   void reset() override { state_ = BeamState{}; }
 
   TrackerReport step(const TrackerContext& ctx) override {
-    const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
-    state_.tx_beam = sweep.tx;
-    state_.rx_beam = sweep.rx;
-    state_.trained_energy = sweep.energy;
-    state_.components =
-        components_from_excess(rx_excess_, options_.max_components);
-    TrackerReport report;
-    report.tx_beam = sweep.tx;
-    report.rx_beam = sweep.rx;
-    report.probes = sweep.probes;
-    report.realigned = true;
-    return report;
+    return acquire(ctx, rig_, rx_excess_, options_.max_components, state_);
   }
 
   BeamState export_state() const override { return state_; }
@@ -148,22 +156,13 @@ class WarmMlTracker final : public Tracker {
       report.rx_beam = state_.rx_beam;
       return report;
     }
-    report.realigned = true;
     if (!bootstrapped_) {
       // Nothing to warm-start from: acquire once like a cold attach.
-      const SweepOutcome sweep = full_sweep(ctx, rig_, scores_);
-      state_.tx_beam = sweep.tx;
-      state_.rx_beam = sweep.rx;
-      state_.trained_energy = sweep.energy;
-      state_.components =
-          components_from_excess(scores_, options_.max_components);
-      report.probes = sweep.probes;
       bootstrapped_ = true;
       aligning_ = false;
-      report.tx_beam = sweep.tx;
-      report.rx_beam = sweep.rx;
-      return report;
+      return acquire(ctx, rig_, scores_, options_.max_components, state_);
     }
+    report.realigned = true;
     report.probes = align_slot(ctx);
     report.tx_beam = state_.tx_beam;
     report.rx_beam = state_.rx_beam;
@@ -194,30 +193,12 @@ class WarmMlTracker final : public Tracker {
     const index_t tx =
         static_cast<index_t>((state_.tx_beam + slots_) % m);
 
+    // One expansion of the resident prior feeds both the directed pick and
+    // the warm start of the ML solve.
+    const linalg::FactoredHermitian prior =
+        estimation::expand_beam_space(state_.components, *ctx.rx_codebook);
     probe_rx_.clear();
-    if (!state_.components.empty()) {
-      const linalg::FactoredHermitian q =
-          estimation::expand_beam_space(state_.components, *ctx.rx_codebook);
-      if (!q.empty()) {
-        if (scores_.size() != n) scores_.assign(n, 0.0);
-        ctx.rx_codebook->covariance_scores_into(q, scores_);
-        const index_t top = j > 1 ? j - 1 : 1;
-        for (index_t pick = 0; pick < top; ++pick) {
-          index_t best = n;
-          real best_score = 0.0;
-          for (index_t v = 0; v < n; ++v) {
-            if (!(scores_[v] > best_score)) continue;  // ties → lowest v
-            if (std::find(probe_rx_.begin(), probe_rx_.end(), v) !=
-                probe_rx_.end())
-              continue;
-            best = v;
-            best_score = scores_[v];
-          }
-          if (best == n) break;
-          probe_rx_.push_back(best);
-        }
-      }
-    }
+    append_directed_probes(prior, *ctx.rx_codebook, j, scores_, probe_rx_);
     append_cursor_probes(0, cursor_, n, j, probe_rx_);
     std::sort(probe_rx_.begin(), probe_rx_.end());
     cursor_ += j;
@@ -237,8 +218,6 @@ class WarmMlTracker final : public Tracker {
     opts.gamma = ctx.gamma;
     opts.max_iterations = 40;
     opts.tolerance = 1e-4;
-    const linalg::FactoredHermitian prior =
-        estimation::expand_beam_space(state_.components, *ctx.rx_codebook);
     const estimation::CovarianceMlResult res =
         estimation::estimate_covariance_ml_warm(n, measurements_, opts,
                                                 prior);
@@ -290,21 +269,11 @@ class NeighborhoodTracker final : public Tracker {
   }
 
   TrackerReport step(const TrackerContext& ctx) override {
-    TrackerReport report;
     if (!aligned_) {
-      const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
-      state_.tx_beam = sweep.tx;
-      state_.rx_beam = sweep.rx;
-      state_.trained_energy = sweep.energy;
-      state_.components =
-          components_from_excess(rx_excess_, options_.max_components);
       aligned_ = true;
-      report.tx_beam = sweep.tx;
-      report.rx_beam = sweep.rx;
-      report.probes = sweep.probes;
-      report.realigned = true;
-      return report;
+      return acquire(ctx, rig_, rx_excess_, options_.max_components, state_);
     }
+    TrackerReport report;
     if (reacquire_) {
       // Post-handover: the imported pair is a hypothesis on a new site —
       // rescan its widest window immediately instead of trusting it.

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "estimation/beamspace.h"
 #include "mac/probe.h"
 #include "sim/scenario.h"
 #include "track/policy.h"
@@ -315,29 +317,147 @@ TEST(TrackerPolicyTest, CursorProbesMatchLegacySweepShape) {
   EXPECT_EQ(out[1], 5u);
 }
 
-TEST(TrackerPolicyTest, NeighborhoodProbesWidenSymmetrically) {
-  std::vector<index_t> out;
-  append_neighborhood_probes(4, 2, 16, 5, out);
-  const std::vector<index_t> expected{4, 3, 5, 2, 6};
-  EXPECT_EQ(out, expected);
-  out.clear();
-  // Wrapping at the edge, deduplicated.
-  append_neighborhood_probes(0, 2, 16, 5, out);
-  const std::vector<index_t> wrapped{0, 15, 1, 14, 2};
-  EXPECT_EQ(out, wrapped);
+// append_directed_probes: the covariance-directed RX pick that serve's
+// alignment slot and the warm_ml tracker share.
+
+antenna::Codebook policy_codebook() {
+  return antenna::Codebook::angular_grid(antenna::ArrayGeometry::ula(8), 16,
+                                         1);
 }
 
-TEST(TrackerPolicyTest, SpreadProbesAreDeterministicAndInRange) {
-  std::vector<index_t> a, b;
-  append_spread_probes(42, 7, 16, 4, a);
-  append_spread_probes(42, 7, 16, 4, b);
-  EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), 4u);
-  for (const index_t v : a) EXPECT_LT(v, 16u);
-  // No duplicates.
-  for (std::size_t i = 0; i < a.size(); ++i)
-    for (std::size_t j = i + 1; j < a.size(); ++j)
-      EXPECT_NE(a[i], a[j]);
+std::vector<real> scores_of(const linalg::FactoredHermitian& q,
+                            const antenna::Codebook& cb) {
+  std::vector<real> scores(cb.size());
+  cb.covariance_scores_into(q, scores);
+  return scores;
+}
+
+bool same_codeword(const linalg::Vector& u, const linalg::Vector& v) {
+  for (index_t i = 0; i < u.size(); ++i)
+    if (u[i] != v[i]) return false;
+  return true;
+}
+
+TEST(TrackerPolicyTest, DirectedProbesBreakTiesToLowestIndex) {
+  // One-bit phase shifters collapse neighboring grid beams onto the same
+  // codeword, so their scores tie bit for bit under any covariance.
+  const antenna::Codebook cb = policy_codebook().with_quantized_phases(1);
+  index_t a = cb.size(), b = cb.size();
+  for (index_t u = 0; u < cb.size() && a == cb.size(); ++u)
+    for (index_t v = u + 1; v < cb.size(); ++v)
+      if (same_codeword(cb.codeword(u), cb.codeword(v))) {
+        a = u;
+        b = v;
+        break;
+      }
+  ASSERT_LT(b, cb.size()) << "no duplicate codewords to tie";
+  // Name the HIGHER index of the pair: the pick must still be the lower.
+  const linalg::FactoredHermitian q =
+      estimation::expand_beam_space(std::vector<estimation::BeamComponent>{
+                                        {b, 1.0}},
+                                    cb);
+  const std::vector<real> scores = scores_of(q, cb);
+  ASSERT_EQ(scores[a], scores[b]);
+  const real top = *std::max_element(scores.begin(), scores.end());
+  ASSERT_EQ(scores[b], top);
+  index_t first_max = 0;
+  while (scores[first_max] != top) ++first_max;
+
+  std::vector<real> scratch;
+  std::vector<index_t> out;
+  append_directed_probes(q, cb, 2, scratch, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], first_max);
+  EXPECT_LE(out[0], a);
+}
+
+TEST(TrackerPolicyTest, DirectedProbesAreDistinctAndRankedByScore) {
+  const antenna::Codebook cb = policy_codebook();
+  const linalg::FactoredHermitian q =
+      estimation::expand_beam_space(std::vector<estimation::BeamComponent>{
+                                        {3, 2.0}, {9, 1.0}, {12, 0.5}},
+                                    cb);
+  const std::vector<real> scores = scores_of(q, cb);
+  std::vector<real> scratch;
+  std::vector<index_t> out{9};  // already probed: must not be picked again
+  append_directed_probes(q, cb, 7, scratch, out);
+  ASSERT_EQ(out.size(), 7u);  // the preset entry plus j − 1 = 6 picks
+  EXPECT_EQ(out[0], 9u);
+  std::vector<index_t> sorted = out;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  for (index_t k = 1; k + 1 < out.size(); ++k) {
+    // Non-increasing score; equal scores in ascending index order.
+    EXPECT_GE(scores[out[k]], scores[out[k + 1]]);
+    if (scores[out[k]] == scores[out[k + 1]]) {
+      EXPECT_LT(out[k], out[k + 1]);
+    }
+  }
+  // Every skipped codeword scores no higher than the last pick.
+  for (index_t v = 0; v < cb.size(); ++v)
+    if (std::find(out.begin(), out.end(), v) == out.end()) {
+      EXPECT_LE(scores[v], scores[out.back()]);
+    }
+  EXPECT_EQ(scratch.size(), cb.size());
+}
+
+TEST(TrackerPolicyTest, DirectedProbesStopAtFirstNonPositiveScore) {
+  // An indefinite q: positive mass around codeword 2, negative around 12.
+  const antenna::Codebook cb = policy_codebook();
+  linalg::Matrix dense(cb.codeword(0).size(), cb.codeword(0).size());
+  dense.add_scaled_outer(cx{1.0, 0.0}, cb.codeword(2), cb.codeword(2));
+  dense.add_scaled_outer(cx{-1.0, 0.0}, cb.codeword(12), cb.codeword(12));
+  const linalg::FactoredHermitian q =
+      linalg::FactoredHermitian::from_dense(dense);
+  const std::vector<real> scores = scores_of(q, cb);
+  const auto positive = static_cast<index_t>(std::count_if(
+      scores.begin(), scores.end(), [](real x) { return x > 0.0; }));
+  ASSERT_GT(positive, 0u);
+  ASSERT_LT(positive, cb.size() - 1);
+
+  std::vector<real> scratch;
+  std::vector<index_t> out;
+  append_directed_probes(q, cb, cb.size(), scratch, out);
+  EXPECT_EQ(out.size(), positive);
+  for (const index_t v : out) EXPECT_GT(scores[v], 0.0);
+}
+
+TEST(TrackerPolicyTest, DirectedProbesFromEmptyOrZeroPriorAppendNothing) {
+  const antenna::Codebook cb = policy_codebook();
+  std::vector<real> scratch;
+  const std::vector<index_t> preset{4, 1};
+  std::vector<index_t> out = preset;
+  append_directed_probes(linalg::FactoredHermitian{}, cb, 4, scratch, out);
+  EXPECT_EQ(out, preset);
+  append_directed_probes(
+      estimation::expand_beam_space(std::vector<estimation::BeamComponent>{
+                                        {5, 0.0}, {7, 0.0}},
+                                    cb),
+      cb, 4, scratch, out);
+  EXPECT_EQ(out, preset);
+  const index_t n = cb.codeword(0).size();
+  append_directed_probes(
+      linalg::FactoredHermitian::from_dense(linalg::Matrix(n, n)), cb, 4,
+      scratch, out);
+  EXPECT_EQ(out, preset);
+}
+
+TEST(TrackerPolicyTest, DirectedProbesTakeOnePickWhenJIsOne) {
+  const antenna::Codebook cb = policy_codebook();
+  const linalg::FactoredHermitian q =
+      estimation::expand_beam_space(std::vector<estimation::BeamComponent>{
+                                        {6, 1.0}, {11, 3.0}},
+                                    cb);
+  const std::vector<real> scores = scores_of(q, cb);
+  const auto best = static_cast<index_t>(
+      std::max_element(scores.begin(), scores.end()) - scores.begin());
+  std::vector<real> scratch;
+  std::vector<index_t> out;
+  append_directed_probes(q, cb, 1, scratch, out);
+  EXPECT_EQ(out, std::vector<index_t>{best});
+  out.clear();
+  append_directed_probes(q, cb, 2, scratch, out);
+  EXPECT_EQ(out, std::vector<index_t>{best});  // j = 2 keeps one explore
 }
 
 }  // namespace
