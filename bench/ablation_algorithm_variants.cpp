@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Ablation A9: Algorithm 1 variants.", {});
-  mmw::bench::BenchRun run("ablation_algorithm_variants", argc, argv);
+  mmw::bench::BenchRun run("ablation_algorithm_variants", cli);
   using namespace mmw;
   using namespace mmw::sim;
 

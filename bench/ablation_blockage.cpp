@@ -5,6 +5,7 @@
 // scheme degrades.
 #include <cstdio>
 
+#include "core/shards.h"
 #include "fig_common.h"
 #include "mac/session.h"
 #include "sim/evaluation.h"
@@ -12,13 +13,14 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Ablation A8: measurement blockage sweep.", {});
-  mmw::bench::BenchRun run("ablation_blockage", argc, argv);
+  mmw::bench::BenchRun run("ablation_blockage", cli);
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Ablation A8", "measurement blockage sweep");
-
   const Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 20);
+  bench::print_header("Ablation A8", "measurement blockage sweep",
+                      cli.threads());
+  const auto pool = core::make_pool(cli.threads(), sc.trials);
   const index_t budget = 102;  // 10% search rate
   core::RandomSearch random_search;
   core::ProposedAlignment proposed;
@@ -32,19 +34,24 @@ int main(int argc, char** argv) {
   for (const real p : {0.0, 0.05, 0.1, 0.2, 0.4}) {
     std::printf("%.2f", p);
     for (const auto& [strategy, name] : strategies) {
-      randgen::Rng root(sc.seed);
+      // Trial t's link comes from stream t at every p and for every
+      // scheme; per-trial slots summed in trial order keep the output the
+      // same at any thread count.
+      std::vector<real> losses(sc.trials);
+      core::run_shards(
+          pool.get(), sc.trials, core::OnFailure::kPropagate, [&](index_t t) {
+            randgen::Rng trial_rng = randgen::Rng::stream(sc.seed, t);
+            const TrialContext ctx = make_trial(sc, trial_rng);
+            randgen::Rng run_rng = trial_rng.fork();
+            mac::Session session(ctx.link, ctx.tx_codebook, ctx.rx_codebook,
+                                 sc.gamma, budget, run_rng,
+                                 sc.fades_per_measurement);
+            session.set_blockage_probability(p);
+            strategy->run(session);
+            losses[t] = loss_after(ctx.oracle, session.records(), budget);
+          });
       real loss = 0.0;
-      for (index_t t = 0; t < sc.trials; ++t) {
-        randgen::Rng trial_rng = root.fork();
-        const TrialContext ctx = make_trial(sc, trial_rng);
-        randgen::Rng run_rng = trial_rng.fork();
-        mac::Session session(ctx.link, ctx.tx_codebook, ctx.rx_codebook,
-                             sc.gamma, budget, run_rng,
-                             sc.fades_per_measurement);
-        session.set_blockage_probability(p);
-        strategy->run(session);
-        loss += loss_after(ctx.oracle, session.records(), budget);
-      }
+      for (const real l : losses) loss += l;
       std::printf("\t%.3f", loss / sc.trials);
     }
     std::printf("\n");

@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Ablation A5: codebook family: angular grid vs DFT.", {});
-  mmw::bench::BenchRun run("ablation_codebook", argc, argv);
+  mmw::bench::BenchRun run("ablation_codebook", cli);
   using namespace mmw;
   using namespace mmw::sim;
 

@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Ablation A4: covariance estimator comparison.", {});
-  mmw::bench::BenchRun run("ablation_estimator_compare", argc, argv);
+  mmw::bench::BenchRun run("ablation_estimator_compare", cli);
   using namespace mmw;
   using namespace mmw::sim;
 

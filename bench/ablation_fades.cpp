@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Ablation A6: fades per measurement (K) sweep.", {});
-  mmw::bench::BenchRun run("ablation_fades", argc, argv);
+  mmw::bench::BenchRun run("ablation_fades", cli);
   using namespace mmw;
   using namespace mmw::sim;
 

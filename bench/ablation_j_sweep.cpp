@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Ablation A1: J (measurements per TX-slot) sweep.", {});
-  mmw::bench::BenchRun run("ablation_j_sweep", argc, argv);
+  mmw::bench::BenchRun run("ablation_j_sweep", cli);
   using namespace mmw;
   using namespace mmw::sim;
 

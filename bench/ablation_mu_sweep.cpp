@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Ablation A2: regularization weight mu sweep.", {});
-  mmw::bench::BenchRun run("ablation_mu_sweep", argc, argv);
+  mmw::bench::BenchRun run("ablation_mu_sweep", cli);
   using namespace mmw;
   using namespace mmw::sim;
   using linalg::Matrix;

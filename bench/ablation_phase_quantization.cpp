@@ -14,8 +14,11 @@
 
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
-      argc, argv, "Ablation A7: phase-shifter resolution sweep.", {});
-  mmw::bench::BenchRun run("ablation_phase_quantization", argc, argv);
+      argc, argv,
+      "Ablation A7: phase-shifter resolution sweep.\n"
+      "Runs serially; --threads is ignored.",
+      {});
+  mmw::bench::BenchRun run("ablation_phase_quantization", cli);
   using namespace mmw;
   using antenna::ArrayGeometry;
   using antenna::Codebook;

@@ -12,8 +12,11 @@
 
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
-      argc, argv, "Ablation A3: channel rank (path count) sweep.", {});
-  mmw::bench::BenchRun run("ablation_rank_sweep", argc, argv);
+      argc, argv,
+      "Ablation A3: channel rank (path count) sweep.\n"
+      "Runs serially; --threads is ignored.",
+      {});
+  mmw::bench::BenchRun run("ablation_rank_sweep", cli);
   using namespace mmw;
   using antenna::ArrayGeometry;
   using antenna::Codebook;

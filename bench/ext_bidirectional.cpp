@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv, "Extension E6: bidirectional (ping-pong) training.", {});
-  mmw::bench::BenchRun run("ext_bidirectional", argc, argv);
+  mmw::bench::BenchRun run("ext_bidirectional", cli);
   using namespace mmw;
   using namespace mmw::sim;
 

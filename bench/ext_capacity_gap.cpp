@@ -13,8 +13,11 @@
 
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
-      argc, argv, "Extension E3: beamforming vs MIMO capacity.", {});
-  mmw::bench::BenchRun run("ext_capacity_gap", argc, argv);
+      argc, argv,
+      "Extension E3: beamforming vs MIMO capacity.\n"
+      "Runs serially; --threads is ignored.",
+      {});
+  mmw::bench::BenchRun run("ext_capacity_gap", cli);
   using namespace mmw;
   using antenna::ArrayGeometry;
   using linalg::Matrix;

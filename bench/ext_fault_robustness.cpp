@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       argc, argv, "E8: alignment robustness under injected faults.",
       {{"--trials", bench::Cli::Kind::kUnsigned,
         "trials per cell (default 15)"}});
-  bench::BenchRun run("ext_fault_robustness", argc, argv);
+  bench::BenchRun run("ext_fault_robustness", cli);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
   sc.trials = cli.u64("--trials", sc.trials);
   sc.threads = cli.threads();

@@ -16,8 +16,11 @@
 
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
-      argc, argv, "Extension E5: hybrid precoding vs RF chains.", {});
-  mmw::bench::BenchRun run("ext_hybrid_beamforming", argc, argv);
+      argc, argv,
+      "Extension E5: hybrid precoding vs RF chains.\n"
+      "Runs serially; --threads is ignored.",
+      {});
+  mmw::bench::BenchRun run("ext_hybrid_beamforming", cli);
   using namespace mmw;
   using antenna::ArrayGeometry;
   using linalg::Matrix;

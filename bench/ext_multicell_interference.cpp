@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const bench::Cli cli(
       argc, argv,
       "Extension E7: multi-cell alignment under inter-cell interference.", {});
-  bench::BenchRun run("ext_multicell_interference", argc, argv);
+  bench::BenchRun run("ext_multicell_interference", cli);
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath, 10);
   sc.threads = cli.threads();
   run.add_scenario(sc);

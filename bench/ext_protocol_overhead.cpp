@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/shards.h"
 #include "fig_common.h"
 #include "mac/timing.h"
 #include "sim/evaluation.h"
@@ -12,14 +13,14 @@ int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
       argc, argv,
       "Extension E2: net spectral efficiency vs re-alignment period.", {});
-  mmw::bench::BenchRun run("ext_protocol_overhead", argc, argv);
+  mmw::bench::BenchRun run("ext_protocol_overhead", cli);
   using namespace mmw;
   using namespace mmw::sim;
 
-  bench::print_header("Extension E2",
-                      "net spectral efficiency vs re-alignment period");
-
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath, 15);
+  bench::print_header("Extension E2",
+                      "net spectral efficiency vs re-alignment period",
+                      cli.threads());
   const mac::ProtocolTiming timing;
 
   // Operating points: (name, measurements L, TX-slots I).
@@ -38,24 +39,31 @@ int main(int argc, char** argv) {
       {"exhaustive@100%", 1024, 16, &exhaustive},
   };
 
-  // Mean post-beamforming SNR achieved by each scheme at its budget.
+  // Mean post-beamforming SNR achieved by each scheme at its budget: one
+  // slot per (trial, point), reduced in trial order.
+  const index_t kPoints = std::size(points);
+  std::vector<real> snr(sc.trials * kPoints);
+  const auto pool = core::make_pool(cli.threads(), sc.trials);
+  core::run_shards(
+      pool.get(), sc.trials, core::OnFailure::kPropagate, [&](index_t t) {
+        randgen::Rng trial_rng = randgen::Rng::stream(sc.seed, t);
+        const TrialContext ctx = make_trial(sc, trial_rng);
+        for (index_t i = 0; i < kPoints; ++i) {
+          randgen::Rng run_rng = trial_rng.fork();
+          mac::Session session(ctx.link, ctx.tx_codebook, ctx.rx_codebook,
+                               sc.gamma, points[i].measurements, run_rng,
+                               sc.fades_per_measurement);
+          points[i].strategy->run(session);
+          const auto best = best_in_prefix(session.records(),
+                                           session.records().size());
+          snr[t * kPoints + i] =
+              sc.gamma * ctx.oracle.gain(best.tx_beam, best.rx_beam);
+        }
+      });
   std::map<std::string, real> mean_snr;
-  randgen::Rng root(sc.seed);
-  for (index_t t = 0; t < sc.trials; ++t) {
-    randgen::Rng trial_rng = root.fork();
-    const TrialContext ctx = make_trial(sc, trial_rng);
-    for (const auto& p : points) {
-      randgen::Rng run_rng = trial_rng.fork();
-      mac::Session session(ctx.link, ctx.tx_codebook, ctx.rx_codebook,
-                           sc.gamma, p.measurements, run_rng,
-                           sc.fades_per_measurement);
-      p.strategy->run(session);
-      const auto best = best_in_prefix(session.records(),
-                                       session.records().size());
-      mean_snr[p.name] +=
-          sc.gamma * ctx.oracle.gain(best.tx_beam, best.rx_beam) / sc.trials;
-    }
-  }
+  for (index_t t = 0; t < sc.trials; ++t)
+    for (index_t i = 0; i < kPoints; ++i)
+      mean_snr[points[i].name] += snr[t * kPoints + i] / sc.trials;
 
   std::printf("frame_ms");
   for (const auto& p : points) std::printf("\t%s", p.name);

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
         "fades per tracking probe (default 4)"},
        {"--telemetry", Kind::kOptionalText,
         "per-epoch NDJSON + health file [=path]"}});
-  bench::BenchRun run("ext_serving_throughput", argc, argv);
+  bench::BenchRun run("ext_serving_throughput", cli);
 
   // The serving scenario trades array size for population: TX 2×2 (M = 4),
   // RX 4×4 (N = 16), T = 64 pairs, 4 fades/measurement. Alignment quality

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
         "comma-separated speeds in m/s (default 1.4,13.9,33.3)"},
        {"--tiny", Kind::kFlag,
         "CI smoke: 4 users x 24 epochs, warm-up 8"}});
-  bench::BenchRun run("ext_tracking_mobility", argc, argv);
+  bench::BenchRun run("ext_tracking_mobility", cli);
 
   // Tracking scenario: the E9 array split (TX 2×2, RX 4×16 pairs) so a
   // cold sweep is 64 probes — big enough that warm tracking has something

@@ -13,8 +13,11 @@
 
 int main(int argc, char** argv) {
   const mmw::bench::Cli cli(
-      argc, argv, "Extension E4: wideband selectivity of aligned beams.", {});
-  mmw::bench::BenchRun run("ext_wideband_selectivity", argc, argv);
+      argc, argv,
+      "Extension E4: wideband selectivity of aligned beams.\n"
+      "Runs serially; --threads is ignored.",
+      {});
+  mmw::bench::BenchRun run("ext_wideband_selectivity", cli);
   using namespace mmw;
   using antenna::ArrayGeometry;
   using antenna::Codebook;

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
 
   const bench::Cli cli(
       argc, argv, "Figure 5: search effectiveness, single-path channel.", {});
-  bench::BenchRun run("fig5_search_effectiveness_singlepath", argc, argv);
+  bench::BenchRun run("fig5_search_effectiveness_singlepath", cli);
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath);
   sc.threads = cli.threads();
   run.add_scenario(sc);

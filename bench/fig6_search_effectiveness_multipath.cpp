@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
 
   const bench::Cli cli(
       argc, argv, "Figure 6: search effectiveness, NYC multipath channel.", {});
-  bench::BenchRun run("fig6_search_effectiveness_multipath", argc, argv);
+  bench::BenchRun run("fig6_search_effectiveness_multipath", cli);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath);
   sc.threads = cli.threads();
   run.add_scenario(sc);

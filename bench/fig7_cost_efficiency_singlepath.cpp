@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   const bench::Cli cli(
       argc, argv, "Figure 7: cost efficiency, single-path channel.", {});
-  bench::BenchRun run("fig7_cost_efficiency_singlepath", argc, argv);
+  bench::BenchRun run("fig7_cost_efficiency_singlepath", cli);
   Scenario sc = bench::paper_scenario(ChannelKind::kSinglePath);
   sc.threads = cli.threads();
   run.add_scenario(sc);

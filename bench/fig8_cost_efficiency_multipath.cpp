@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
 
   const bench::Cli cli(
       argc, argv, "Figure 8: cost efficiency, NYC multipath channel.", {});
-  bench::BenchRun run("fig8_cost_efficiency_multipath", argc, argv);
+  bench::BenchRun run("fig8_cost_efficiency_multipath", cli);
   Scenario sc = bench::paper_scenario(ChannelKind::kNycMultipath);
   sc.threads = cli.threads();
   run.add_scenario(sc);

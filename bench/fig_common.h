@@ -240,6 +240,7 @@ inline void write_artifact(const std::string& filename,
 ///
 ///  - Instrumentation defaults ON for benches (the library default is off),
 ///    overridable with MMW_OBS=off or `--obs off|on` (CLI wins over env).
+///    Both flags are read from the bench's already-validated Cli.
 ///  - `--trace[=path]` opts into span capture and writes a Chrome trace
 ///    JSON (chrome://tracing / Perfetto) — default path
 ///    bench_results/<name>_trace.json.
@@ -248,28 +249,16 @@ inline void write_artifact(const std::string& filename,
 ///    bench_results/<name>_manifest.json.
 class BenchRun {
  public:
-  BenchRun(std::string name, int argc, char** argv)
+  BenchRun(std::string name, const Cli& cli)
       : name_(std::move(name)), manifest_(name_) {
-    bool on = obs::init_from_env(/*default_on=*/true);
-    for (int i = 1; i < argc; ++i) {
-      const auto flag = [&](const char* prefix) -> const char* {
-        const std::size_t len = std::strlen(prefix);
-        if (std::strncmp(argv[i], prefix, len) == 0 && argv[i][len] == '=')
-          return argv[i] + len + 1;
-        if (std::strcmp(argv[i], prefix) == 0)
-          return i + 1 < argc ? argv[++i] : "";
-        return nullptr;
-      };
-      if (const char* v = flag("--obs")) {
-        on = !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-               std::strcmp(v, "false") == 0);
-        obs::set_enabled(on);
-      } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-        trace_path_ = argv[i] + 8;
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
-        trace_path_ = "bench_results/" + name_ + "_trace.json";
-      }
-    }
+    obs::init_from_env(/*default_on=*/true);
+    if (const char* v = cli.text("--obs"))
+      obs::set_enabled(!(std::strcmp(v, "off") == 0 ||
+                         std::strcmp(v, "0") == 0 ||
+                         std::strcmp(v, "false") == 0));
+    if (const char* path = cli.text("--trace"))
+      trace_path_ = *path != '\0' ? std::string(path)
+                                  : "bench_results/" + name_ + "_trace.json";
     // A fresh registry per run: a bench may execute warm-up work before
     // main's sweep in future; today this is a no-op on first use.
     obs::Registry::global().reset();

@@ -1,6 +1,6 @@
 // Micro-benchmarks of the RNG layer (google-benchmark): keyed stream set-up,
 // which the serving and tracking engines pay once per session-epoch, the
-// variates the fade synthesis draws most, and one whole fade-synthesis probe.
+// variates the probes draw, and one whole probe through the energy law.
 #include <benchmark/benchmark.h>
 
 #include "antenna/codebook.h"
@@ -44,6 +44,13 @@ void BM_ComplexNormal(benchmark::State& state) {
 }
 BENCHMARK(BM_ComplexNormal);
 
+/// One Gamma(4, ·) draw: the probe energy law at 4 fades.
+void BM_Gamma(benchmark::State& state) {
+  randgen::Rng rng(2016);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.gamma(4.0, 0.25));
+}
+BENCHMARK(BM_Gamma);
+
 /// One mac::probe_energy call on a NYC multipath link at N = 16 with
 /// 4 fades, cycling through the codebook pairs: the measurement the
 /// tracking engine repeats for every probe of every user-epoch.
@@ -56,13 +63,12 @@ void BM_ProbeEnergy(benchmark::State& state) {
   const antenna::Codebook tx_cb = antenna::Codebook::dft(tx);
   const antenna::Codebook rx_cb = antenna::Codebook::dft(rx);
   const mac::ProbeView view{&link, &tx_cb, &rx_cb, 10.0};
-  linalg::Vector scratch(link.rx_size());
   randgen::Rng rng(7);
   index_t pair = 0;
   for (auto _ : state) {
     const index_t p = pair++ % (tx_cb.size() * rx_cb.size());
     benchmark::DoNotOptimize(mac::probe_energy(
-        view, p / rx_cb.size(), p % rx_cb.size(), 4, rng, scratch));
+        view, p / rx_cb.size(), p % rx_cb.size(), 4, rng));
   }
   state.counters["paths"] = static_cast<double>(link.paths().size());
 }

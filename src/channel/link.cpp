@@ -127,75 +127,14 @@ Matrix Link::draw_channel(randgen::Rng& rng) const {
 }
 
 Vector Link::draw_effective_channel(const Vector& u, randgen::Rng& rng) const {
-  Vector h(n_);
-  draw_effective_channel_into(u, rng, h);
-  return h;
-}
-
-void Link::draw_effective_channel_into(const Vector& u, randgen::Rng& rng,
-                                       Vector& h) const {
   MMW_REQUIRE(u.size() == m_);
-  MMW_REQUIRE(h.size() == n_);
-  std::fill(h.begin(), h.end(), cx{0.0, 0.0});
+  Vector h(n_);
   for (index_t l = 0; l < paths_.size(); ++l) {
     const cx g = rng.complex_normal(paths_[l].power) *
                  cx{amplitude_scale_, 0.0} * linalg::dot(tx_steering_[l], u);
     for (index_t i = 0; i < n_; ++i) h[i] += g * rx_steering_[l][i];
   }
-}
-
-void Link::tx_gains_into(const Vector& u, std::span<cx> gains) const {
-  MMW_REQUIRE(u.size() == m_);
-  MMW_REQUIRE(gains.size() == paths_.size());
-  for (index_t l = 0; l < paths_.size(); ++l)
-    gains[l] = linalg::dot(tx_steering_[l], u);
-}
-
-namespace {
-
-/// std::complex's product (ac − bd, ad + bc), spelled out so it compiles
-/// without the NaN-recovery branch; equal to it for every non-NaN result.
-cx mul(cx a, cx b) {
-  return {a.real() * b.real() - a.imag() * b.imag(),
-          a.real() * b.imag() + a.imag() * b.real()};
-}
-
-/// acc += conj(v_i)·h_i for the W elements i = i0 … i0+W−1 in turn, each
-/// h_i = 0 + g_0·a_0[i] + g_1·a_1[i] + … in path order. The W sums are
-/// independent dependency chains, so their adds overlap in the pipeline.
-template <index_t W>
-void accumulate_matched(std::span<const cx> gains,
-                        const std::vector<Vector>& steering, const Vector& v,
-                        index_t i0, cx& acc) {
-  cx h[W] = {};
-  for (index_t l = 0; l < gains.size(); ++l) {
-    const cx g = gains[l];
-    const cx* a = &steering[l][i0];
-    for (index_t k = 0; k < W; ++k) h[k] += mul(g, a[k]);
-  }
-  for (index_t k = 0; k < W; ++k) acc += mul(std::conj(v[i0 + k]), h[k]);
-}
-
-}  // namespace
-
-cx Link::draw_matched_filter(std::span<const cx> tx_gains, const Vector& v,
-                             randgen::Rng& rng,
-                             std::span<cx> fade_gains) const {
-  const index_t paths = paths_.size();
-  MMW_REQUIRE(tx_gains.size() == paths && fade_gains.size() == paths);
-  MMW_REQUIRE(v.size() == n_);
-  for (index_t l = 0; l < paths; ++l)
-    fade_gains[l] = mul(mul(rng.complex_normal(paths_[l].power),
-                            cx{amplitude_scale_, 0.0}),
-                        tx_gains[l]);
-  // i outer, l inner: each h_i keeps draw_effective_channel_into's
-  // accumulation order over paths, and the sum over i keeps linalg::dot's.
-  cx acc{0.0, 0.0};
-  index_t i = 0;
-  for (; i + 4 <= n_; i += 4)
-    accumulate_matched<4>(fade_gains, rx_steering_, v, i, acc);
-  for (; i < n_; ++i) accumulate_matched<1>(fade_gains, rx_steering_, v, i, acc);
-  return acc;
+  return h;
 }
 
 Vector sample_complex_gaussian(const Matrix& q, randgen::Rng& rng) {

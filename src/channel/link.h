@@ -82,30 +82,6 @@ class Link {
   linalg::Vector draw_effective_channel(const linalg::Vector& u,
                                         randgen::Rng& rng) const;
 
-  /// Overwrites `h` with a fresh draw of H·u, with identical RNG
-  /// consumption and arithmetic to draw_effective_channel. `h` must not
-  /// alias `u`. Precondition: h.size() == rx_size().
-  void draw_effective_channel_into(const linalg::Vector& u, randgen::Rng& rng,
-                                   linalg::Vector& h) const;
-
-  /// Per-path TX array gains a_tx,lᴴu of TX beam u, one per path. They are
-  /// all a fade draw needs of u and stay fixed while the TX dwells on u,
-  /// so per-dwell fade loops (mac::probe_energy) compute them once.
-  /// Preconditions: u.size() == tx_size(), gains.size() == paths().size().
-  void tx_gains_into(const linalg::Vector& u, std::span<cx> gains) const;
-
-  /// One fade of the matched-filter output vᴴ(H·u), without forming H·u:
-  /// the per-fade work of a dwell, from the beam's tx_gains_into gains.
-  /// Draws the path gains g_l (scaled by √(NM) and a_tx,lᴴu) in path order
-  /// into `fade_gains`, then sums over RX elements i the products
-  /// conj(v_i)·h_i, each h_i = 0 + g_0·a_rx,0[i] + g_1·a_rx,1[i] + … built
-  /// in a register. Draws, values and rounding order are those of
-  /// linalg::dot(v, draw_effective_channel(u, rng)) (DESIGN.md §7).
-  /// Preconditions: tx_gains.size() == fade_gains.size() == paths().size(),
-  /// v.size() == rx_size().
-  cx draw_matched_filter(std::span<const cx> tx_gains, const linalg::Vector& v,
-                         randgen::Rng& rng, std::span<cx> fade_gains) const;
-
   /// RX steering vector of path l (unit norm).
   const linalg::Vector& rx_steering(index_t l) const { return rx_steering_[l]; }
   /// TX steering vector of path l (unit norm).

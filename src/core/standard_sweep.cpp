@@ -1,8 +1,9 @@
 #include "core/standard_sweep.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "antenna/steering.h"
+#include "mac/probe.h"
 
 namespace mmw::core {
 
@@ -13,18 +14,13 @@ using linalg::Vector;
 namespace {
 
 /// One matched-filter energy measurement for arbitrary weight vectors,
-/// averaged over the configured fades (same chain as mac::Session but not
-/// restricted to codebook entries).
+/// averaged over the configured fades: the energy law of mac::probe_energy,
+/// not restricted to codebook entries.
 real measure_energy(const channel::Link& link, const Vector& u,
                     const Vector& v, const StandardSweepConfig& cfg,
                     randgen::Rng& rng) {
-  real energy = 0.0;
-  for (index_t k = 0; k < cfg.fades_per_measurement; ++k) {
-    const Vector h = link.draw_effective_channel(u, rng);
-    const cx z = linalg::dot(v, h) + rng.complex_normal(1.0 / cfg.gamma);
-    energy += std::norm(z);
-  }
-  return energy / static_cast<real>(cfg.fades_per_measurement);
+  return mac::sample_energy(link.mean_pair_gain(u, v) + 1.0 / cfg.gamma,
+                            cfg.fades_per_measurement, rng);
 }
 
 /// Wide sector beam: the fine codeword at the sector's central grid cell,

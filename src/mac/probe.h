@@ -7,11 +7,16 @@
 // Session per user — which is why the chain lives here as a borrowed-view
 // free function instead of a Session private (DESIGN.md §13).
 //
+// The energy law: every path gain, the noise and the co-channel
+// interference are zero-mean CN and independent per fade, so one fade's
+// matched-filter output z = vᴴHu + n is exactly CN(0, λ) with
+// λ = mean_pair_gain(u, v) + 1/γ + I_v, and the slot average
+// w̄ = (1/F)Σ|z_f|² of F fades is exactly Gamma(F, λ/F) (DESIGN.md §7).
+// probe_energy samples that law instead of synthesizing the fades.
+//
 // Determinism: probe_energy consumes a fixed draw sequence from `rng` —
-// one uniform when blockage_probability > 0, then per fade one
-// complex-normal noise draw plus (unless the slot is blocked) one effective
-// channel draw — identical to the historical Session::probe_energy, so
-// extracting it moved no bytes in any golden CSV.
+// one uniform when blockage_probability > 0 (a blocked slot drops the
+// path term from λ), then one sample_energy draw.
 #pragma once
 
 #include <span>
@@ -39,14 +44,23 @@ struct ProbeView {
   std::span<const real> interference = {};
 };
 
+/// The average of `fades` independent |z|², z ~ CN(0, lambda): one
+/// Gamma(fades, lambda/fades) draw. Preconditions: lambda > 0, fades ≥ 1.
+real sample_energy(real lambda, index_t fades, randgen::Rng& rng);
+
 /// Simulates one measurement slot of `fades` independent fades on the pair
 /// (tx_beam, rx_beam) and returns the average matched-filter energy |z|².
-/// `scratch` is the caller's reusable per-path workspace: grown to 2·paths
-/// entries when smaller, then overwritten. Reusing one across calls keeps
-/// the steady state allocation-free. It must not alias anything in `view`.
 /// Preconditions: indices valid, fades ≥ 1, view pointers non-null,
 /// view.interference empty or sized to the RX codebook.
 real probe_energy(const ProbeView& view, index_t tx_beam, index_t rx_beam,
-                  index_t fades, randgen::Rng& rng, linalg::Vector& scratch);
+                  index_t fades, randgen::Rng& rng);
+
+/// The same probe for callers that still pass a per-fade workspace:
+/// `scratch` is unused and left untouched.
+inline real probe_energy(const ProbeView& view, index_t tx_beam,
+                         index_t rx_beam, index_t fades, randgen::Rng& rng,
+                         linalg::Vector& /*scratch*/) {
+  return probe_energy(view, tx_beam, rx_beam, fades, rng);
+}
 
 }  // namespace mmw::mac

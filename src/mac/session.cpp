@@ -116,8 +116,7 @@ real Session::probe_energy(index_t tx_beam, index_t rx_beam, index_t fades,
   view.gamma = gamma_;
   view.blockage_probability = blockage_probability_;
   view.interference = interference_;
-  return mac::probe_energy(view, tx_beam, rx_beam, fades, *rng_,
-                           fade_scratch_);
+  return mac::probe_energy(view, tx_beam, rx_beam, fades, *rng_);
 }
 
 real Session::measure(index_t tx_beam, index_t rx_beam) {

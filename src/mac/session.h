@@ -184,7 +184,6 @@ class Session {
   std::vector<MeasurementRecord> records_;
   std::vector<MeasurementRecord> recovery_records_;
   std::vector<bool> measured_;  ///< tx_beam·|V| + rx_beam
-  linalg::Vector fade_scratch_;  ///< reused probe_energy workspace
 };
 
 }  // namespace mmw::mac

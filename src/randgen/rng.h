@@ -63,7 +63,8 @@ class Rng {
     return canonical() * (hi - lo) + lo;
   }
 
-  /// Uniform integer in [lo, hi] (inclusive).
+  /// Uniform integer in [lo, hi] (inclusive): Lemire's multiply-shift with
+  /// rejection of the biased low band, one engine word per try.
   std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
 
   /// N(mean, stddev²) real Gaussian. σ = 0 returns the mean and still
@@ -81,13 +82,19 @@ class Rng {
     return cx{normal(0.0, s), normal(0.0, s)};
   }
 
-  /// Chi-squared with k degrees of freedom.
-  real chi_squared(real k);
+  /// Gamma(shape, scale), mean shape·scale: Marsaglia–Tsang squeeze
+  /// rejection on normal() and uniform(); shape < 1 boosts a
+  /// Gamma(shape + 1) draw by U^(1/shape).
+  real gamma(real shape, real scale = 1.0);
 
-  /// Exponential with the given mean.
+  /// Chi-squared with k degrees of freedom: 2·Gamma(k/2).
+  real chi_squared(real k) { return gamma(0.5 * k, 2.0); }
+
+  /// Exponential with the given mean, by inversion of one uniform.
   real exponential(real mean);
 
-  /// Poisson with the given mean.
+  /// Poisson with the given mean: Knuth's product of uniforms below 10,
+  /// Hörmann's PTRS transformed rejection from 10 on; both exact.
   std::uint64_t poisson(real mean);
 
   /// Lognormal: exp(N(mu, sigma²)).

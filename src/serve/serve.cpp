@@ -119,7 +119,6 @@ struct ServingEngine::MetricFrame {
 /// the steady-state tracking path performs zero allocations and the
 /// alignment path only the transient link/estimator work.
 struct ServingEngine::Workspace {
-  linalg::Vector fade_scratch;
   std::vector<real> scores;
   std::vector<index_t> probe_rx;
   std::vector<real> probe_energy;
@@ -280,21 +279,17 @@ void ServingEngine::step_track(index_t site, UserSession& s,
                                MetricFrame& frame) {
   randgen::Rng rng =
       epoch_stream(config_.scenario.seed, site, s.user_key, epoch_);
-  // Matched-filter verification of the claimed pair WITHOUT the link: for
-  // Gaussian fades, z = vᴴHu + n is exactly CN(0, G + σ²) with
-  // G = mean_pair_gain(u, v) — the paper's eq. (9) energy law — so the
-  // fast path samples the law directly. Blockage shadows the slot to
-  // noise-only, as in mac::probe_energy.
+  // Matched-filter verification of the claimed pair WITHOUT the link: the
+  // probe's energy law (mac/probe.h) needs only λ = G + σ² with
+  // G = mean_pair_gain(u, v), which the session keeps resident. Blockage
+  // shadows the slot to noise-only, as in mac::probe_energy.
   const bool blocked =
       config_.blockage_probability > 0.0 &&
       rng.uniform() < config_.blockage_probability;
   const real lambda =
       (blocked ? 0.0 : static_cast<real>(s.claimed_gain)) +
       static_cast<real>(s.noise_var);
-  real energy = 0.0;
-  for (index_t k = 0; k < config_.track_fades; ++k)
-    energy += std::norm(rng.complex_normal(lambda));
-  energy /= static_cast<real>(config_.track_fades);
+  const real energy = mac::sample_energy(lambda, config_.track_fades, rng);
 
   ++frame.tracking;
   const real claimed = std::max(static_cast<real>(s.claimed_gain), 1e-12);
@@ -359,8 +354,8 @@ void ServingEngine::step_align(index_t site, UserSession& s,
 
   ws.probe_energy.clear();
   for (const index_t rx : ws.probe_rx) {
-    const real e = mac::probe_energy(view, tx, rx, sc.fades_per_measurement,
-                                     rng, ws.fade_scratch);
+    const real e =
+        mac::probe_energy(view, tx, rx, sc.fades_per_measurement, rng);
     ws.probe_energy.push_back(e);
     if (e > static_cast<real>(s.trained_energy)) {
       s.trained_energy = static_cast<float>(e);

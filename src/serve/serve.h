@@ -18,12 +18,12 @@
 //     exploration, picked by track/policy.h exactly as the warm_ml tracker
 //     picks them), and folds the observed energies, as moment excess, into
 //     its beam-space covariance; after align_epochs slots it claims its
-//     best pair and drops to TRACKING. A tracking session costs
-//     O(track_fades) with NO link rebuild: a matched-filter probe of the
-//     claimed pair is distribution-equivalent to drawing z ~ CN(0, G + σ²)
-//     per fade, so the fast path samples that law directly and applies the
-//     mac::Session collapse test; an outage re-enters alignment warm (the
-//     beam-space covariance survives).
+//     best pair and drops to TRACKING. A tracking session costs one
+//     energy draw with NO link rebuild: a matched-filter probe of the
+//     claimed pair averages track_fades fades of z ~ CN(0, G + σ²), so the
+//     fast path draws that average from its Gamma law (mac::sample_energy)
+//     and applies the mac::Session collapse test; an outage re-enters
+//     alignment warm (the beam-space covariance survives).
 //
 // Determinism contract (the fig5–8 contract, extended to churn): every
 // random quantity is drawn from a shared-state-free stream keyed by

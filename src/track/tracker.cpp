@@ -19,20 +19,14 @@ real collapse_scale(const TrackerOptions& o) {
 /// One matched-filter probe through the shared mac chain (no blockage
 /// Bernoulli here — blockage is a deterministic large-scale state of the
 /// evolved link, not per-probe noise).
-class ProbeRig {
- public:
-  real probe(const TrackerContext& ctx, index_t tx, index_t rx) {
-    mac::ProbeView view;
-    view.link = ctx.link;
-    view.tx_codebook = ctx.tx_codebook;
-    view.rx_codebook = ctx.rx_codebook;
-    view.gamma = ctx.gamma;
-    return mac::probe_energy(view, tx, rx, ctx.fades, *ctx.rng, scratch_);
-  }
-
- private:
-  linalg::Vector scratch_;
-};
+real probe(const TrackerContext& ctx, index_t tx, index_t rx) {
+  mac::ProbeView view;
+  view.link = ctx.link;
+  view.tx_codebook = ctx.tx_codebook;
+  view.rx_codebook = ctx.rx_codebook;
+  view.gamma = ctx.gamma;
+  return mac::probe_energy(view, tx, rx, ctx.fades, *ctx.rng);
+}
 
 struct SweepOutcome {
   index_t tx = 0, rx = 0;
@@ -43,7 +37,7 @@ struct SweepOutcome {
 /// Exhaustive raster sweep; per-RX best excess lands in `rx_excess` (sized
 /// by the callee) for beam-space compression. Ties → first seen (lowest
 /// raster index).
-SweepOutcome full_sweep(const TrackerContext& ctx, ProbeRig& rig,
+SweepOutcome full_sweep(const TrackerContext& ctx,
                         std::vector<real>& rx_excess) {
   const index_t m = ctx.tx_codebook->size();
   const index_t n = ctx.rx_codebook->size();
@@ -52,7 +46,7 @@ SweepOutcome full_sweep(const TrackerContext& ctx, ProbeRig& rig,
   SweepOutcome out;
   for (index_t t = 0; t < m; ++t)
     for (index_t r = 0; r < n; ++r) {
-      const real e = rig.probe(ctx, t, r);
+      const real e = probe(ctx, t, r);
       if (e > out.energy) {
         out.energy = e;
         out.tx = t;
@@ -78,10 +72,9 @@ std::vector<estimation::BeamComponent> components_from_excess(
 /// Exhaustive acquire: one full sweep claims its best pair into `state`
 /// and compresses the per-RX excess into its components. The report names
 /// the claimed pair and the sweep's probes.
-TrackerReport acquire(const TrackerContext& ctx, ProbeRig& rig,
-                      std::vector<real>& rx_excess, index_t max_components,
-                      BeamState& state) {
-  const SweepOutcome sweep = full_sweep(ctx, rig, rx_excess);
+TrackerReport acquire(const TrackerContext& ctx, std::vector<real>& rx_excess,
+                      index_t max_components, BeamState& state) {
+  const SweepOutcome sweep = full_sweep(ctx, rx_excess);
   state.tx_beam = sweep.tx;
   state.rx_beam = sweep.rx;
   state.trained_energy = sweep.energy;
@@ -106,7 +99,7 @@ class ColdStartTracker final : public Tracker {
   void reset() override { state_ = BeamState{}; }
 
   TrackerReport step(const TrackerContext& ctx) override {
-    return acquire(ctx, rig_, rx_excess_, options_.max_components, state_);
+    return acquire(ctx, rx_excess_, options_.max_components, state_);
   }
 
   BeamState export_state() const override { return state_; }
@@ -119,7 +112,6 @@ class ColdStartTracker final : public Tracker {
 
  private:
   TrackerOptions options_;
-  ProbeRig rig_;
   std::vector<real> rx_excess_;
   BeamState state_;
 };
@@ -144,7 +136,7 @@ class WarmMlTracker final : public Tracker {
   TrackerReport step(const TrackerContext& ctx) override {
     TrackerReport report;
     if (!aligning_) {
-      const real e = rig_.probe(ctx, state_.tx_beam, state_.rx_beam);
+      const real e = probe(ctx, state_.tx_beam, state_.rx_beam);
       report.probes = 1;
       if (e < state_.trained_energy * collapse_scale(options_)) {
         report.outage = true;
@@ -160,7 +152,7 @@ class WarmMlTracker final : public Tracker {
       // Nothing to warm-start from: acquire once like a cold attach.
       bootstrapped_ = true;
       aligning_ = false;
-      return acquire(ctx, rig_, scores_, options_.max_components, state_);
+      return acquire(ctx, scores_, options_.max_components, state_);
     }
     report.realigned = true;
     report.probes = align_slot(ctx);
@@ -205,7 +197,7 @@ class WarmMlTracker final : public Tracker {
 
     measurements_.clear();
     for (const index_t rx : probe_rx_) {
-      const real e = rig_.probe(ctx, tx, rx);
+      const real e = probe(ctx, tx, rx);
       measurements_.push_back({ctx.rx_codebook->codeword(rx), e});
       if (e > phase_energy_) {
         phase_energy_ = e;
@@ -240,7 +232,6 @@ class WarmMlTracker final : public Tracker {
   }
 
   TrackerOptions options_;
-  ProbeRig rig_;
   BeamState state_;
   bool aligning_ = true;
   bool bootstrapped_ = false;
@@ -271,7 +262,7 @@ class NeighborhoodTracker final : public Tracker {
   TrackerReport step(const TrackerContext& ctx) override {
     if (!aligned_) {
       aligned_ = true;
-      return acquire(ctx, rig_, rx_excess_, options_.max_components, state_);
+      return acquire(ctx, rx_excess_, options_.max_components, state_);
     }
     TrackerReport report;
     if (reacquire_) {
@@ -284,7 +275,7 @@ class NeighborhoodTracker final : public Tracker {
       report.realigned = true;
       return report;
     }
-    const real e = rig_.probe(ctx, state_.tx_beam, state_.rx_beam);
+    const real e = probe(ctx, state_.tx_beam, state_.rx_beam);
     report.probes = 1;
     if (e >= state_.trained_energy * collapse_scale(options_)) {
       report.tx_beam = state_.tx_beam;
@@ -339,7 +330,7 @@ class NeighborhoodTracker final : public Tracker {
     const auto try_pair = [&](index_t t, index_t r) {
       if (probed_[t * n + r]) return false;
       probed_[t * n + r] = true;
-      const real e = rig_.probe(ctx, t, r);
+      const real e = probe(ctx, t, r);
       ++probes;
       if (e > best_energy_) {
         best_energy_ = e;
@@ -359,7 +350,7 @@ class NeighborhoodTracker final : public Tracker {
     }
     if (!recovered && state_.trained_energy > 0.0) {
       // The window missed: the pair moved further than drift explains.
-      const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
+      const SweepOutcome sweep = full_sweep(ctx, rx_excess_);
       probes += sweep.probes;
       best_energy_ = sweep.energy;
       best_tx_ = sweep.tx;
@@ -375,7 +366,6 @@ class NeighborhoodTracker final : public Tracker {
   }
 
   TrackerOptions options_;
-  ProbeRig rig_;
   BeamState state_;
   bool aligned_ = false;
   bool reacquire_ = false;
@@ -408,7 +398,7 @@ class BanditTracker final : public Tracker {
     TrackerReport report;
     if (!initialized_) {
       // Cold attach: one exhaustive pass seeds every arm.
-      const SweepOutcome sweep = full_sweep(ctx, rig_, rx_excess_);
+      const SweepOutcome sweep = full_sweep(ctx, rx_excess_);
       const real noise = 1.0 / ctx.gamma;
       // Storing every pair's sweep energy would defeat the point of a
       // bandit; seed arm means from the per-RX excess (shared across the
@@ -461,7 +451,7 @@ class BanditTracker final : public Tracker {
     const index_t old_tx = state_.tx_beam, old_rx = state_.rx_beam;
     for (const index_t a : pulls_) {
       const index_t t = a / n, r = a % n;
-      const real e = rig_.probe(ctx, t, r);
+      const real e = probe(ctx, t, r);
       absorb(a, e, 1.0);
       // Correlated update: adjacent arms on either beam axis share the
       // reward at a discount (the angular overlap of neighboring
@@ -545,7 +535,6 @@ class BanditTracker final : public Tracker {
   }
 
   TrackerOptions options_;
-  ProbeRig rig_;
   std::vector<real> mu_;      ///< arm mean energy
   std::vector<real> weight_;  ///< arm evidence weight (decayed)
   std::vector<index_t> pulls_;

@@ -174,80 +174,6 @@ TEST(SampleComplexGaussianTest, RequiresSquare) {
                precondition_error);
 }
 
-// The allocation-free variant must be a drop-in for the returning one:
-// identical draws (bit-exact) from identical RNG state, identical RNG
-// consumption, and full overwrite of whatever the reused buffer held.
-TEST(LinkTest, DrawEffectiveChannelIntoMatchesReturningVariant) {
-  const Link link(ArrayGeometry::upa(4, 4), ArrayGeometry::upa(4, 4),
-                  {Path{1.0, {0.3, 0.1}, {-0.4, 0.05}},
-                   Path{0.5, {-0.2, 0.0}, {0.6, -0.1}}});
-  const Vector u = link.tx_steering(0);
-  Rng rng_a(42);
-  Rng rng_b(42);
-  Vector scratch(link.rx_size());
-  for (int rep = 0; rep < 5; ++rep) {
-    const Vector fresh = link.draw_effective_channel(u, rng_a);
-    // Poison the buffer: a correct into-variant overwrites every element.
-    for (index_t i = 0; i < scratch.size(); ++i) scratch[i] = cx{1e9, -1e9};
-    link.draw_effective_channel_into(u, rng_b, scratch);
-    for (index_t i = 0; i < fresh.size(); ++i)
-      EXPECT_EQ(scratch[i], fresh[i]) << "rep=" << rep << " i=" << i;
-  }
-}
-
-// The fused fade draw must be the two-step vᴴ·(H·u) bit for bit — every
-// RX size, including those that are not a multiple of its 4-element block —
-// and leave the stream where the two-step draw leaves it.
-TEST(LinkTest, DrawMatchedFilterMatchesDotOfDrawnChannel) {
-  for (const index_t n : {1, 2, 3, 4, 5, 7, 8, 9, 13, 16}) {
-    const auto tx = ArrayGeometry::upa(2, 2);
-    const auto rx = ArrayGeometry::ula(n);
-    Rng link_rng(500 + n);
-    const Link link = make_nyc_multipath_link(tx, rx, link_rng);
-    const antenna::Codebook tx_cb = antenna::Codebook::dft(tx);
-    const antenna::Codebook rx_cb = antenna::Codebook::dft(rx);
-    std::vector<cx> tx_gains(link.paths().size());
-    std::vector<cx> fade_gains(link.paths().size());
-    Rng a(n);
-    Rng b(n);
-    for (index_t k = 0; k < 12; ++k) {
-      const Vector& u = tx_cb.codeword(k % tx_cb.size());
-      const Vector& v = rx_cb.codeword((3 * k) % rx_cb.size());
-      link.tx_gains_into(u, tx_gains);
-      const cx fused = link.draw_matched_filter(tx_gains, v, a, fade_gains);
-      const cx two_step = linalg::dot(v, link.draw_effective_channel(u, b));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.real()),
-                std::bit_cast<std::uint64_t>(two_step.real()))
-          << "n=" << n << " k=" << k;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.imag()),
-                std::bit_cast<std::uint64_t>(two_step.imag()))
-          << "n=" << n << " k=" << k;
-    }
-    EXPECT_EQ(a.uniform(), b.uniform()) << "n=" << n;
-  }
-}
-
-TEST(LinkTest, DrawMatchedFilterChecksSizes) {
-  const Link link = one_path_link();
-  Rng rng(7);
-  std::vector<cx> gains(1);
-  std::vector<cx> wrong(2);
-  const Vector v(link.rx_size());
-  EXPECT_THROW(link.draw_matched_filter(gains, v, rng, wrong),
-               precondition_error);
-  EXPECT_THROW(link.draw_matched_filter(gains, Vector(3), rng, gains),
-               precondition_error);
-}
-
-TEST(LinkTest, DrawEffectiveChannelIntoChecksBufferSize) {
-  const Link link = one_path_link();
-  Rng rng(7);
-  Vector wrong(link.rx_size() + 1);
-  EXPECT_THROW(
-      link.draw_effective_channel_into(link.tx_steering(0), rng, wrong),
-      precondition_error);
-}
-
 /// The exhaustive grading loop best_mean_pair_gain replaces.
 real exhaustive_best_gain(const Link& link, const antenna::Codebook& tx,
                           const antenna::Codebook& rx) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "antenna/steering.h"
 #include "channel/models.h"
 #include "core/oracle.h"
+#include "support/energy_law.h"
 
 namespace mmw::core {
 namespace {
@@ -114,6 +116,55 @@ TEST(StandardSweepTest, SelectedPairLiesInWinningSector) {
   EXPECT_LT(res.tx_beam, f.tx_cb.size());
   EXPECT_LT(res.rx_beam, f.rx_cb.size());
   EXPECT_GE(res.best_energy, 0.0);
+}
+
+// The sweep measures through the probe energy law. With one-beam codebooks
+// and one sector per end, stage 2 measures exactly the fine pair (0, 0), so
+// best_energy is one draw of Gamma(F, λ/F), λ = mean_pair_gain + 1/γ: its
+// moments must match the law and its distribution the per-fade reference.
+TEST(StandardSweepTest, BestEnergyFollowsTheEnergyLaw) {
+  const auto tx = ArrayGeometry::upa(4, 4);
+  const auto rx = ArrayGeometry::upa(8, 8);
+  Rng link_rng(9);
+  const auto link = channel::make_nyc_multipath_link(tx, rx, link_rng);
+  // One codeword per end, steered at the first path.
+  const channel::Path& path = link.paths().front();
+  const Codebook tx_cb = Codebook::angular_grid(
+      tx, 1, 1, path.aod.azimuth, path.aod.azimuth, path.aod.elevation,
+      path.aod.elevation);
+  const Codebook rx_cb = Codebook::angular_grid(
+      rx, 1, 1, path.aoa.azimuth, path.aoa.azimuth, path.aoa.elevation,
+      path.aoa.elevation);
+  const real gain = link.mean_pair_gain(tx_cb.codeword(0), rx_cb.codeword(0));
+  ASSERT_GT(gain, 0.0);
+  StandardSweepConfig cfg;
+  cfg.tx_sectors_x = cfg.tx_sectors_y = 1;
+  cfg.rx_sectors_x = cfg.rx_sectors_y = 1;
+  cfg.gamma = 2.0 / gain;  // noise floor at half the pair's path gain
+  cfg.fades_per_measurement = 6;
+  const real noise = 1.0 / cfg.gamma;
+  const real lambda = gain + noise;
+
+  constexpr index_t kDraws = 20000;
+  std::vector<real> law(kDraws), reference(kDraws);
+  for (index_t i = 0; i < kDraws; ++i) {
+    Rng a = Rng::stream(31, i);
+    const auto res =
+        run_standard_sweep(link, tx, rx, tx_cb, rx_cb, cfg, a);
+    ASSERT_EQ(res.total_measurements(), 2u);
+    law[i] = res.best_energy;
+    Rng b = Rng::stream(13, i);
+    reference[i] = test::per_fade_energy(link, tx_cb.codeword(0),
+                                         rx_cb.codeword(0), noise, false,
+                                         cfg.fades_per_measurement, b);
+  }
+  const test::LawMoments want = test::energy_law_moments(
+      lambda, noise, 0.0, cfg.fades_per_measurement, kDraws);
+  const test::Moments got = test::moments(law);
+  EXPECT_NEAR(got.mean, want.mean, 5.0 * want.mean_se);
+  EXPECT_NEAR(got.variance, want.variance, 5.0 * want.variance_se);
+  EXPECT_TRUE(test::ks_same_law(law, reference, 0.001))
+      << "D = " << test::ks_two_sample(law, reference);
 }
 
 TEST(StandardSweepTest, ConfigValidation) {

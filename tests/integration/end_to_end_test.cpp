@@ -83,7 +83,9 @@ TEST(EndToEndTest, CostEfficiencyOrderingAtTightTarget) {
 TEST(EndToEndTest, HundredPercentRateIsNearOptimalForEveryScheme) {
   // "At 100% all three schemes reduce to exhaustive scan" — with fade
   // averaging the claimed pair is near-optimal for all of them.
-  Scenario sc = small_paper_scenario(ChannelKind::kSinglePath, 6);
+  // 24 trials: at 6 the mean over seeds is ≈0.17 dB, but one seed in 25–50
+  // lands above the 0.6 dB bound by Monte-Carlo chance alone.
+  Scenario sc = small_paper_scenario(ChannelKind::kSinglePath, 24);
   sc.tx_grid_x = sc.tx_grid_y = 2;  // shrink T so the test stays fast
   sc.rx_grid_x = sc.rx_grid_y = 4;
   sc.fades_per_measurement = 32;
@@ -153,7 +155,9 @@ TEST(EndToEndTest, BlockageDegradesButDoesNotBreakProposed) {
   const auto rx_cb = antenna::Codebook::angular_grid(
       rx, 8, 8, sector.az_min, sector.az_max, sector.el_min, sector.el_max);
   real clean = 0.0, blocked = 0.0;
-  const int trials = 8;
+  // 32 trials: at 8 the clean mean (≈3.1 dB over seeds) exceeds its 8 dB
+  // bound for a few seeds in a hundred by Monte-Carlo chance alone.
+  const int trials = 32;
   for (int t = 0; t < trials; ++t) {
     const auto link = channel::make_single_path_link(tx, rx, rng, sector);
     const core::PairGainOracle oracle(link, tx_cb, rx_cb);

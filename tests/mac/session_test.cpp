@@ -2,14 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "channel/models.h"
 #include "channel/temporal.h"
-#include "mac/probe.h"
 
 namespace mmw::mac {
 namespace {
@@ -341,72 +338,6 @@ TEST(SessionRealignTest, PostTrainingBlockageDeclaresOutage) {
   EXPECT_GT(s.recovery_slots(), 1u);
   // Training records still untouched.
   EXPECT_EQ(s.records().size(), 16u);
-}
-
-// Per-fade reference of mac::probe_energy: the same draw sequence, but
-// each fade draw recomputes the per-path TX gains from the codeword (the
-// Link u-overload), as probe_energy did before hoisting them per dwell.
-real probe_energy_per_fade(const ProbeView& view, index_t tx_beam,
-                           index_t rx_beam, index_t fades, Rng& rng) {
-  const linalg::Vector& u = view.tx_codebook->codeword(tx_beam);
-  const linalg::Vector& v = view.rx_codebook->codeword(rx_beam);
-  const bool blocked = view.blockage_probability > 0.0 &&
-                       rng.uniform() < view.blockage_probability;
-  const real noise_var =
-      1.0 / view.gamma +
-      (view.interference.empty() ? 0.0 : view.interference[rx_beam]);
-  linalg::Vector h(view.link->rx_size());
-  real energy = 0.0;
-  for (index_t k = 0; k < fades; ++k) {
-    cx z = rng.complex_normal(noise_var);
-    if (!blocked) {
-      view.link->draw_effective_channel_into(u, rng, h);
-      z += linalg::dot(v, h);
-    }
-    energy += std::norm(z);
-  }
-  return energy / static_cast<real>(fades);
-}
-
-TEST(ProbeEnergyTest, HoistedGainsMatchPerFadeReference) {
-  Rng link_rng(2016);
-  const auto tx = ArrayGeometry::upa(4, 4);
-  const auto rx = ArrayGeometry::upa(8, 8);
-  const Link link = channel::make_nyc_multipath_link(tx, rx, link_rng);
-  ASSERT_GT(link.paths().size(), 1u);
-  const Codebook tx_cb = Codebook::dft(tx);
-  const Codebook rx_cb = Codebook::dft(rx);
-  std::vector<real> interference(rx_cb.size());
-  for (index_t v = 0; v < interference.size(); ++v)
-    interference[v] = 0.05 * static_cast<real>(v % 7);
-
-  struct Case {
-    const char* name;
-    real blockage;
-    bool interfered;
-  };
-  for (const Case c : {Case{"unblocked", 0.0, false},
-                       Case{"blocked", 1.0, false},
-                       Case{"sometimes_blocked", 0.5, false},
-                       Case{"interference", 0.0, true}}) {
-    const ProbeView view{&link, &tx_cb, &rx_cb, 2.0, c.blockage,
-                         c.interfered ? std::span<const real>(interference)
-                                      : std::span<const real>()};
-    linalg::Vector scratch(link.rx_size());
-    for (index_t pair = 0; pair < 24; ++pair) {
-      const index_t t = (pair * 5) % tx_cb.size();
-      const index_t r = (pair * 11) % rx_cb.size();
-      Rng a(100 + pair);
-      Rng b(100 + pair);
-      const real hoisted = probe_energy(view, t, r, 8, a, scratch);
-      const real reference = probe_energy_per_fade(view, t, r, 8, b);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(hoisted),
-                std::bit_cast<std::uint64_t>(reference))
-          << c.name << " pair=" << pair;
-      // Identical RNG consumption: both streams continue in lockstep.
-      EXPECT_EQ(a.uniform(), b.uniform()) << c.name << " pair=" << pair;
-    }
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Bit-identity of the lazily seeded MersenneTwister64 and of every Rng
-// variate against std::mt19937_64 + the std distributions: the reference
-// the library's committed CSVs and goldens were produced with.
+// variate against std::mt19937_64: uniform and normal against the std
+// distributions, uniform_int, gamma, exponential and Poisson against their
+// algorithms spelled out on the std engine's draws.
 #include "randgen/mersenne.h"
 
 #include <gtest/gtest.h>
@@ -98,7 +99,7 @@ TEST(EngineTest, FreshEngineCopiesIdentically) {
   EXPECT_TRUE(same_words(b, ref_b, 400));
 }
 
-// -- every Rng method against the same std distribution on std::mt19937_64 --
+// -- every Rng method against a reference on std::mt19937_64 --------------
 
 constexpr int kDraws = 2000;
 
@@ -114,16 +115,29 @@ TEST(RngIdentityTest, Uniform) {
   }
 }
 
+/// Lemire's multiply-shift on std::mt19937_64 words, spelled out: the
+/// high word of w·s, retried while the low word is below 2⁶⁴ mod s.
+std::uint64_t reference_uniform_int(std::mt19937_64& ref, std::uint64_t lo,
+                                    std::uint64_t hi) {
+  __extension__ using u128 = unsigned __int128;
+  if (hi - lo == ~std::uint64_t{0}) return ref();
+  const std::uint64_t s = hi - lo + 1;
+  const std::uint64_t threshold = (0 - s) % s;
+  u128 m = static_cast<u128>(ref()) * s;
+  while (static_cast<std::uint64_t>(m) < threshold)
+    m = static_cast<u128>(ref()) * s;
+  return lo + static_cast<std::uint64_t>(m >> 64);
+}
+
 TEST(RngIdentityTest, UniformInt) {
   Rng rng(12);
   std::mt19937_64 ref(12);
   for (int i = 0; i < kDraws; ++i) {
     const std::uint64_t hi = static_cast<std::uint64_t>(i % 97);
-    ASSERT_EQ(rng.uniform_int(0, hi),
-              std::uniform_int_distribution<std::uint64_t>(0, hi)(ref));
+    ASSERT_EQ(rng.uniform_int(0, hi), reference_uniform_int(ref, 0, hi));
     ASSERT_EQ(rng.uniform_int(5, ~std::uint64_t{0}),
-              std::uniform_int_distribution<std::uint64_t>(
-                  5, ~std::uint64_t{0})(ref));
+              reference_uniform_int(ref, 5, ~std::uint64_t{0}));
+    ASSERT_EQ(rng.uniform_int(0, ~std::uint64_t{0}), ref());
   }
 }
 
@@ -289,13 +303,78 @@ TEST(CanonicalTest, WordsRoundingToTwoToThe64AreClamped) {
   }
 }
 
+// -- the in-repo samplers, spelled out on std::mt19937_64 draws ----------
+
+/// One canonical double, as Rng::uniform() draws it.
+real std_canonical(std::mt19937_64& ref) {
+  return std::uniform_real_distribution<real>()(ref);
+}
+
+/// Marsaglia–Tsang gamma on libstdc++'s normal and canonical draws.
+real reference_gamma(std::mt19937_64& ref, real shape, real scale) {
+  if (shape < 1.0)
+    return reference_gamma(ref, shape + 1.0, scale) *
+           std::pow(std_canonical(ref), 1.0 / shape);
+  const real d = shape - 1.0 / 3.0;
+  const real c = 1.0 / std::sqrt(9.0 * d);
+  for (;;) {
+    real x = 0.0, v = 0.0;
+    do {
+      x = std::normal_distribution<real>()(ref);
+      v = 1.0 + c * x;
+    } while (v <= 0.0);
+    v = v * v * v;
+    const real u = std_canonical(ref);
+    const real x2 = x * x;
+    if (u < 1.0 - 0.0331 * x2 * x2 ||
+        std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v)))
+      return d * v * scale;
+  }
+}
+
+/// Knuth's product of uniforms below mean 10, Hörmann's PTRS above.
+std::uint64_t reference_poisson(std::mt19937_64& ref, real mean) {
+  if (mean < 10.0) {
+    std::uint64_t k = 0;
+    for (real p = std_canonical(ref); p > std::exp(-mean);
+         p *= std_canonical(ref))
+      ++k;
+    return k;
+  }
+  const real b = 0.931 + 2.53 * std::sqrt(mean);
+  const real a = -0.059 + 0.02483 * b;
+  const real log_inv_alpha = std::log(1.1239 + 1.1328 / (b - 3.4));
+  const real vr = 0.9277 - 3.6224 / (b - 2.0);
+  for (;;) {
+    const real u = std_canonical(ref) - 0.5;
+    const real v = std_canonical(ref);
+    const real us = 0.5 - std::abs(u);
+    const real k = std::floor((2.0 * a / us + b) * u + mean + 0.43);
+    if (us >= 0.07 && v <= vr) return static_cast<std::uint64_t>(k);
+    if (k < 0.0 || (us < 0.013 && v > us)) continue;
+    int sign = 0;
+    if (std::log(v) + log_inv_alpha - std::log(a / (us * us) + b) <=
+        -mean + k * std::log(mean) - lgamma_r(k + 1.0, &sign))
+      return static_cast<std::uint64_t>(k);
+  }
+}
+
+TEST(RngIdentityTest, Gamma) {
+  Rng rng(15);
+  std::mt19937_64 ref(15);
+  for (int i = 0; i < kDraws; ++i) {
+    const real shape = 0.25 + 0.5 * (i % 17);
+    ASSERT_EQ(rng.gamma(shape, 1.5), reference_gamma(ref, shape, 1.5))
+        << "shape " << shape;
+  }
+}
+
 TEST(RngIdentityTest, ChiSquared) {
   Rng rng(16);
   std::mt19937_64 ref(16);
   for (int i = 0; i < kDraws; ++i) {
     const real k = 0.5 + i % 9;
-    ASSERT_EQ(rng.chi_squared(k),
-              std::chi_squared_distribution<real>(k)(ref));
+    ASSERT_EQ(rng.chi_squared(k), reference_gamma(ref, 0.5 * k, 2.0));
   }
 }
 
@@ -304,19 +383,18 @@ TEST(RngIdentityTest, Exponential) {
   std::mt19937_64 ref(17);
   for (int i = 0; i < kDraws; ++i) {
     const real mean = 0.1 + i % 50;
-    ASSERT_EQ(rng.exponential(mean),
-              std::exponential_distribution<real>(1.0 / mean)(ref));
+    ASSERT_EQ(rng.exponential(mean), -mean * std::log1p(-std_canonical(ref)));
   }
 }
 
 TEST(RngIdentityTest, Poisson) {
   Rng rng(18);
   std::mt19937_64 ref(18);
-  // Means below and above libstdc++'s rejection-method threshold (12).
-  for (const real mean : {0.3, 4.0, 11.9, 12.0, 150.0, 4700.0}) {
+  // Means on both sides of the switch to PTRS (10), up to E9's 1M-session
+  // arrival mean.
+  for (const real mean : {0.3, 4.0, 9.99, 10.0, 23.0, 150.0, 4700.0}) {
     for (int i = 0; i < kDraws / 4; ++i)
-      ASSERT_EQ(rng.poisson(mean),
-                std::poisson_distribution<std::uint64_t>(mean)(ref))
+      ASSERT_EQ(rng.poisson(mean), reference_poisson(ref, mean))
           << "mean " << mean;
   }
 }
@@ -348,8 +426,8 @@ TEST(RngIdentityTest, SampleWithoutReplacement) {
     std::vector<index_t> pool(n);
     std::iota(pool.begin(), pool.end(), index_t{0});
     for (index_t i = 0; i < k; ++i) {
-      const index_t j = static_cast<index_t>(
-          std::uniform_int_distribution<std::uint64_t>(i, n - 1)(ref));
+      const index_t j =
+          static_cast<index_t>(reference_uniform_int(ref, i, n - 1));
       std::swap(pool[i], pool[j]);
     }
     pool.resize(k);

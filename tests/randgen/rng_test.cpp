@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
+
+#include "support/stats.h"
 
 namespace mmw::randgen {
 namespace {
@@ -106,6 +109,146 @@ TEST(RngTest, PoissonMean) {
   real sum = 0.0;
   for (int i = 0; i < n; ++i) sum += static_cast<real>(rng.poisson(1.8));
   EXPECT_NEAR(sum / n, 1.8, 0.1);
+}
+
+// -- fixed-seed moment and Kolmogorov–Smirnov tests of the samplers ------
+
+constexpr int kLawDraws = 20000;
+constexpr real kAlpha = 0.001;
+
+template <class Draw>
+std::vector<real> draws(Draw draw) {
+  std::vector<real> xs(kLawDraws);
+  for (real& x : xs) x = draw();
+  return xs;
+}
+
+/// √n·sup|F_n − F| ≤ c(α) against a continuous CDF.
+template <class Cdf>
+::testing::AssertionResult ks_fits(const std::vector<real>& xs, Cdf cdf) {
+  const real d = test::ks_statistic(xs, cdf);
+  if (std::sqrt(static_cast<real>(xs.size())) * d <= test::ks_critical(kAlpha))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "KS D = " << d;
+}
+
+/// The same for an integer law with CDF `cdf(k)` = P(X ≤ k): the sup is
+/// taken at the integers, which keeps the test conservative.
+template <class Cdf>
+::testing::AssertionResult ks_fits_integer(const std::vector<real>& xs,
+                                           Cdf cdf) {
+  std::vector<real> sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  const real n = static_cast<real>(sorted.size());
+  real d = 0.0;
+  std::size_t below = 0;
+  for (real k = sorted.front() - 1.0; k <= sorted.back(); k += 1.0) {
+    while (below < sorted.size() && sorted[below] <= k) ++below;
+    d = std::max(d, std::abs(static_cast<real>(below) / n - cdf(k)));
+  }
+  if (std::sqrt(n) * d <= test::ks_critical(kAlpha))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "KS D = " << d;
+}
+
+/// Sample mean within 5 standard errors of `mean`; sample variance within
+/// 5% of `variance`, several of its standard errors at 20k draws.
+void expect_moments(const std::vector<real>& xs, real mean, real variance) {
+  const test::Moments got = test::moments(xs);
+  const real n = static_cast<real>(xs.size());
+  EXPECT_NEAR(got.mean, mean, 5.0 * std::sqrt(variance / n));
+  EXPECT_NEAR(got.variance, variance, 0.05 * variance);
+}
+
+TEST(RngLawTest, GammaAtProbeShapes) {
+  Rng rng(5);
+  for (const real shape : {1.0, 4.0, 8.0}) {
+    SCOPED_TRACE(shape);
+    const real scale = 3.0 / shape;  // the probe law's λ/F at λ = 3
+    const auto xs = draws([&] { return rng.gamma(shape, scale); });
+    expect_moments(xs, shape * scale, shape * scale * scale);
+    EXPECT_TRUE(ks_fits(xs, [&](real x) {
+      return test::gamma_cdf(shape, scale, x);
+    }));
+  }
+  EXPECT_THROW(rng.gamma(0.0), precondition_error);
+  EXPECT_THROW(rng.gamma(1.0, 0.0), precondition_error);
+}
+
+TEST(RngLawTest, GammaBelowUnitShape) {
+  Rng rng(6);
+  for (const real shape : {0.2, 0.5, 0.9}) {
+    SCOPED_TRACE(shape);
+    const auto xs = draws([&] { return rng.gamma(shape, 2.0); });
+    expect_moments(xs, 2.0 * shape, 4.0 * shape);
+    EXPECT_TRUE(
+        ks_fits(xs, [&](real x) { return test::gamma_cdf(shape, 2.0, x); }));
+  }
+}
+
+TEST(RngLawTest, ChiSquared) {
+  Rng rng(7);
+  for (const real k : {1.0, 2.0, 5.0}) {
+    SCOPED_TRACE(k);
+    const auto xs = draws([&] { return rng.chi_squared(k); });
+    expect_moments(xs, k, 2.0 * k);
+    EXPECT_TRUE(
+        ks_fits(xs, [&](real x) { return test::gamma_cdf(0.5 * k, 2.0, x); }));
+  }
+  EXPECT_THROW(rng.chi_squared(0.0), precondition_error);
+}
+
+TEST(RngLawTest, Exponential) {
+  Rng rng(8);
+  const auto xs = draws([&] { return rng.exponential(0.5); });
+  expect_moments(xs, 0.5, 0.25);
+  EXPECT_TRUE(ks_fits(xs, [](real x) { return 1.0 - std::exp(-x / 0.5); }));
+  EXPECT_THROW(rng.exponential(0.0), precondition_error);
+}
+
+TEST(RngLawTest, PoissonSmallAndServingMeans) {
+  Rng rng(9);
+  // Knuth below 10, PTRS from 10 on: serve's site arrival means run from
+  // ≈23 (perfbench) to ≈500 (E9 at 1M sessions).
+  for (const real mean : {0.3, 1.8, 4.0, 9.9, 10.0, 23.0, 526.0}) {
+    SCOPED_TRACE(mean);
+    const auto xs =
+        draws([&] { return static_cast<real>(rng.poisson(mean)); });
+    expect_moments(xs, mean, mean);
+    EXPECT_TRUE(ks_fits_integer(xs, [&](real k) {
+      real pmf = std::exp(-mean), cdf = 0.0;
+      for (real i = 0.0; i <= k; i += 1.0) {
+        cdf += pmf;
+        pmf *= mean / (i + 1.0);
+      }
+      return std::min(cdf, 1.0);
+    }));
+  }
+  EXPECT_THROW(rng.poisson(0.0), precondition_error);
+}
+
+TEST(RngLawTest, UniformInt) {
+  Rng rng(10);
+  for (const std::uint64_t hi : {std::uint64_t{1}, std::uint64_t{6},
+                                 std::uint64_t{96}}) {
+    SCOPED_TRACE(hi);
+    const auto xs =
+        draws([&] { return static_cast<real>(rng.uniform_int(3, 3 + hi)); });
+    const real width = static_cast<real>(hi + 1);
+    expect_moments(xs, 3.0 + 0.5 * static_cast<real>(hi),
+                   (width * width - 1.0) / 12.0);
+    EXPECT_TRUE(ks_fits_integer(xs, [&](real k) {
+      return std::clamp((k - 2.0) / width, 0.0, 1.0);
+    }));
+  }
+  // A range that is not a power of two and close to 2⁶⁴ still lands in it.
+  const std::uint64_t lo = 5, hi = (std::uint64_t{3} << 62) + 7;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t x = rng.uniform_int(lo, hi);
+    ASSERT_GE(x, lo);
+    ASSERT_LE(x, hi);
+  }
+  EXPECT_EQ(rng.uniform_int(9, 9), 9u);
 }
 
 TEST(RngTest, LognormalMedian) {

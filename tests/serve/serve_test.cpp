@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +24,7 @@
 
 #include "obs/flight.h"
 #include "obs/obs.h"
+#include "support/stats.h"
 
 namespace mmw::serve {
 namespace {
@@ -170,6 +172,78 @@ TEST(ServingEngine, BlockageDrivesOutagesAndRealignment) {
     if (s.realigns > 0) ++realigned;
   });
   EXPECT_GT(realigned, 0u);
+}
+
+// The tracking fast path's energy law, through the public surface: each
+// tracking epoch draws w̄ ~ Gamma(F, λ/F), λ = claimed gain + σ² (σ² alone
+// when blocked), and declares an outage when w̄ < trained · 10^(−c/10).
+// The draws do not depend on the collapse threshold c, so running the same
+// population at several c reads each session's energy against several
+// thresholds. At each c the outage count must match the law's prediction
+// Σ P(w̄_i < thr_i) and the count the per-fade reference (F synthesized
+// CN(0, λ) fades) gives on the same sessions.
+TEST(ServingEngine, TrackingOutagesFollowTheEnergyLaw) {
+  ServeConfig cfg = tiny_config();
+  cfg.initial_sessions = 4000;
+  cfg.session_block = 1024;
+  cfg.track_fades = 4;
+  cfg.blockage_probability = 0.25;
+  const real fades = static_cast<real>(cfg.track_fades);
+  // Three epochs: two alignment slots claim a pair, the third tracks it.
+  struct Tracked {
+    real clear = 0.0, noise = 0.0, trained = 0.0;
+  };
+  auto run = [&](real collapse_db, std::vector<Tracked>* tracked) {
+    cfg.collapse_db = collapse_db;
+    ServingEngine engine(cfg);
+    engine.step_epoch();
+    engine.step_epoch();
+    if (tracked != nullptr)
+      engine.for_each_session([&](index_t, const UserSession& s) {
+        EXPECT_EQ(s.aligning, 0);
+        tracked->push_back({static_cast<real>(s.claimed_gain) + s.noise_var,
+                            static_cast<real>(s.noise_var),
+                            static_cast<real>(s.trained_energy)});
+      });
+    return engine.step_epoch().outages;
+  };
+  std::vector<Tracked> sessions;
+  run(10.0, &sessions);
+  ASSERT_EQ(sessions.size(), cfg.initial_sessions);
+
+  randgen::Rng oracle_rng(404);
+  std::vector<real> reference;
+  for (const Tracked& t : sessions) {
+    const bool blocked = oracle_rng.uniform() < cfg.blockage_probability;
+    const real lambda = blocked ? t.noise : t.clear;
+    real w = 0.0;
+    for (index_t k = 0; k < cfg.track_fades; ++k)
+      w += std::norm(oracle_rng.complex_normal(lambda));
+    reference.push_back(w / fades);
+  }
+
+  // Bonferroni over the five thresholds at family-wise α = 0.001.
+  const real z = 3.72;
+  for (const real collapse_db : {0.25, 1.0, 2.0, 4.0, 8.0}) {
+    SCOPED_TRACE(collapse_db);
+    const real scale = std::pow(10.0, -collapse_db / 10.0);
+    real expected = 0.0, variance = 0.0, oracle = 0.0;
+    for (index_t i = 0; i < sessions.size(); ++i) {
+      const Tracked& t = sessions[i];
+      const real thr = t.trained * scale;
+      const real p =
+          (1.0 - cfg.blockage_probability) *
+              test::gamma_cdf(fades, t.clear / fades, thr) +
+          cfg.blockage_probability *
+              test::gamma_cdf(fades, t.noise / fades, thr);
+      expected += p;
+      variance += p * (1.0 - p);
+      if (reference[i] < thr) oracle += 1.0;
+    }
+    const real observed = static_cast<real>(run(collapse_db, nullptr));
+    EXPECT_NEAR(observed, expected, z * std::sqrt(variance));
+    EXPECT_NEAR(observed, oracle, z * std::sqrt(2.0 * variance));
+  }
 }
 
 TEST(ServingEngine, ResidentMemoryIsBudgetedAndMonotone) {

@@ -48,11 +48,11 @@ TEST(GoldenExtensions, E7MulticellTinyTrialsPinned) {
 
   EXPECT_EQ(r.cells, 3u);
   EXPECT_EQ(r.sessions_per_strategy, 9u);
-  EXPECT_NEAR(r.loss_db.at("Exhaustive").mean, 19.417093704743756, kTol);
-  EXPECT_NEAR(r.loss_db.at("Proposed").mean, 23.471701035077917, kTol);
+  EXPECT_NEAR(r.loss_db.at("Exhaustive").mean, 20.153395143463928, kTol);
+  EXPECT_NEAR(r.loss_db.at("Proposed").mean, 30.862105135445795, kTol);
   EXPECT_NEAR(r.required_rate.at("Exhaustive").mean, 0.58854166666666663,
               kTol);
-  EXPECT_NEAR(r.required_rate.at("Proposed").mean, 0.35069444444444442,
+  EXPECT_NEAR(r.required_rate.at("Proposed").mean, 0.2795138888888889,
               kTol);
   EXPECT_NEAR(r.interference_over_noise_db.mean, 7.2838172682883391, kTol);
   EXPECT_TRUE(r.quarantined_shards.empty());
@@ -76,9 +76,9 @@ TEST(GoldenExtensions, E8RobustnessTinyTrialsPinned) {
   EXPECT_EQ(c.name, "clean");
   EXPECT_EQ(c.quarantined, 0u);
   EXPECT_NEAR(c.by_strategy.at("Exhaustive").loss_db.mean,
-              22.598091839205889, kTol);
+              27.27101303617302, kTol);
   EXPECT_NEAR(c.by_strategy.at("Proposed").loss_db.mean,
-              31.45860261840927, kTol);
+              16.974477337932914, kTol);
   EXPECT_NEAR(c.by_strategy.at("Exhaustive").outage_rate, 0.0, kTol);
   EXPECT_NEAR(c.by_strategy.at("Exhaustive").recovery_slots.mean, 1.0,
               kTol);
@@ -86,17 +86,15 @@ TEST(GoldenExtensions, E8RobustnessTinyTrialsPinned) {
   const FaultCaseResult& b = rs[1];
   EXPECT_EQ(b.name, "blockage");
   EXPECT_NEAR(b.by_strategy.at("Exhaustive").loss_db.mean,
-              32.133841465311875, kTol);
+              31.7876459601266, kTol);
   EXPECT_NEAR(b.by_strategy.at("Proposed").loss_db.mean,
-              31.45860261840927, kTol);
+              20.660075448841422, kTol);
   EXPECT_NEAR(b.by_strategy.at("Exhaustive").outage_rate,
-              0.66666666666666663, kTol);
-  EXPECT_NEAR(b.by_strategy.at("Proposed").outage_rate,
               0.33333333333333331, kTol);
+  EXPECT_NEAR(b.by_strategy.at("Proposed").outage_rate, 0.0, kTol);
   EXPECT_NEAR(b.by_strategy.at("Exhaustive").recovery_slots.mean,
-              3.6666666666666665, kTol);
-  EXPECT_NEAR(b.by_strategy.at("Proposed").recovery_slots.mean,
-              2.3333333333333335, kTol);
+              1.3333333333333333, kTol);
+  EXPECT_NEAR(b.by_strategy.at("Proposed").recovery_slots.mean, 1.0, kTol);
 }
 
 TEST(GoldenExtensions, E9ServingTinyRunPinned) {
@@ -118,13 +116,13 @@ TEST(GoldenExtensions, E9ServingTinyRunPinned) {
 
   EXPECT_EQ(r.sessions_stepped, 720u);
   ASSERT_EQ(r.epochs.size(), 6u);
-  EXPECT_NEAR(r.epochs.back().mean_loss_db, 3.1622759666407232, kTol);
-  EXPECT_NEAR(r.epochs.back().p99_loss_db, 28.403470097243488, kTol);
+  EXPECT_NEAR(r.epochs.back().mean_loss_db, 3.0369949335348942, kTol);
+  EXPECT_NEAR(r.epochs.back().p99_loss_db, 40.528675521239407, kTol);
   EXPECT_NEAR(r.loss_p50_db, 0.0, kTol);
-  EXPECT_NEAR(r.loss_p99_db, 32.797410344916045, kTol);
+  EXPECT_NEAR(r.loss_p99_db, 35.427658935806221, kTol);
   std::uint64_t claims = 0;
   for (const serve::EpochReport& e : r.epochs) claims += e.claims;
-  EXPECT_EQ(claims, 133u);
+  EXPECT_EQ(claims, 127u);
 }
 
 }  // namespace
